@@ -40,7 +40,7 @@ mod tests {
             .events_per_host_per_day(200)
             .build()
             .generate();
-        let seg = SegmentedStore::ingest(&data, 5, false).unwrap();
+        let seg = SegmentedStore::ingest(&data, 5).unwrap();
         let single =
             aiql_storage::EventStore::ingest(&data, aiql_storage::StoreConfig::monolithic())
                 .unwrap();

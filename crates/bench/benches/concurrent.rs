@@ -49,19 +49,11 @@ fn bench(c: &mut Criterion) {
         parallel: false,
         ..aiql_engine::EngineConfig::aiql()
     };
+    let session = aiql_engine::Session::with_config(&shared, cfg);
     let mut g = c.benchmark_group("concurrent");
     g.sample_size(if smoke { 3 } else { 15 });
     g.bench_function("snapshot-query", |b| {
-        b.iter(|| {
-            std::hint::black_box(
-                aiql_engine::run_live(&shared, cfg, q)
-                    .expect("runs")
-                    .outcome
-                    .result
-                    .rows
-                    .len(),
-            )
-        })
+        b.iter(|| std::hint::black_box(session.run(q).expect("runs").rows.len()))
     });
     g.bench_function("snapshot-pin", |b| {
         b.iter(|| std::hint::black_box(shared.read().event_count()))

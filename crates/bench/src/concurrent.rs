@@ -31,7 +31,7 @@
 //! are interpretable.
 
 use crate::harness::{self, Scale};
-use aiql_engine::{run_live, Engine, EngineConfig};
+use aiql_engine::{Engine, EngineConfig, Session};
 use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql_model::{Dataset, Event};
 use aiql_storage::{EventStore, SharedStore, StoreConfig};
@@ -403,36 +403,18 @@ pub fn measure(data: &Dataset, scale: Scale, window: Duration) -> ConcurrentRepo
     };
 
     // Sanity: the analyst query must actually find the attack pattern.
-    let rows = run_live(&shared, serving_config(), QUERY)
-        .expect("query runs")
-        .outcome
-        .result
-        .rows
-        .len();
+    let session = Session::with_config(&shared, serving_config());
+    let rows = session.run(QUERY).expect("query runs").rows.len();
     assert!(rows > 0, "serving query found nothing — wrong dataset?");
     assert_eq!(lock.query(), rows, "designs disagree on the seed store");
 
     // Calibrate think time to ~8x the single-query latency so eight
     // closed-loop sessions have scaling headroom.
-    let (latency, _) = harness::best_of(5, || {
-        run_live(&shared, serving_config(), QUERY)
-            .expect("query runs")
-            .outcome
-            .result
-            .rows
-            .len()
-    });
+    let (latency, _) = harness::best_of(5, || session.run(QUERY).expect("query runs").rows.len());
     let think = Duration::from_secs_f64((8.0 * latency).clamp(0.002, 0.025));
     let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let snapshot_query = || {
-        run_live(&shared, serving_config(), QUERY)
-            .expect("query runs")
-            .outcome
-            .result
-            .rows
-            .len()
-    };
+    let snapshot_query = || session.run(QUERY).expect("query runs").rows.len();
 
     let snapshot_idle: Vec<ServingRun> = threads
         .iter()

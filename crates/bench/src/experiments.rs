@@ -187,17 +187,24 @@ pub fn fig6(opts: Options) -> String {
 }
 
 /// Fig. 7: parallel (MPP) comparison — Greenplum scheduling (gather joins,
-/// arrival-order placement) vs AIQL scheduling on segmented storage with
-/// the semantics-aware by-host placement.
+/// arrival-order placement over segments) vs AIQL scheduling on a
+/// partitioned store scattered over as many execution shards, whose
+/// `(day, agent group)` routing is the semantics-aware by-host placement.
 pub fn fig7(opts: Options) -> String {
+    use aiql_storage::{EventStore, StoreConfig};
+
     let (data, _) = harness::dataset(opts.scale);
     let segments = 5;
-    let gp_store = SegmentedStore::ingest(&data, segments, false).expect("round-robin ingest");
-    let aiql_store = SegmentedStore::ingest(&data, segments, true).expect("by-host ingest");
+    let gp_store = SegmentedStore::ingest(&data, segments).expect("round-robin ingest");
+    let aiql_store = EventStore::ingest(
+        &data,
+        StoreConfig::partitioned().with_shards(segments as u32),
+    )
+    .expect("sharded ingest");
     let queries = catalog::behaviours();
 
     let mut out = format!(
-        "Fig. 7: query execution time (s), Greenplum scheduling vs AIQL (parallel, {} segments, {} events, budget {}s)\n",
+        "Fig. 7: query execution time (s), Greenplum scheduling vs AIQL (parallel, {} segments/shards, {} events, budget {}s)\n",
         segments,
         data.events.len(),
         opts.budget.as_secs()
@@ -209,7 +216,7 @@ pub fn fig7(opts: Options) -> String {
         let mut t = TextTable::new(&["query", "Greenplum", "AIQL (parallel)"]);
         for q in queries.iter().filter(|q| q.group == group) {
             let gp = harness::run_greenplum(&gp_store, q, opts.budget);
-            let us = harness::run_aiql_segmented(&aiql_store, q, opts.budget);
+            let us = harness::run_aiql(&aiql_store, q, EngineConfig::aiql(), opts.budget);
             t.row(vec![q.id.to_string(), cell(&gp), cell(&us)]);
             all_gp.push(gp);
             all_aiql.push(us);

@@ -148,24 +148,6 @@ pub fn run_aiql(
     }
 }
 
-/// Runs a query on the AIQL engine over a segmented store.
-pub fn run_aiql_segmented(store: &SegmentedStore, q: &CatalogQuery, budget: Duration) -> RunResult {
-    let ctx = compile(q);
-    let engine = Engine::segmented(store, EngineConfig::aiql().with_budget(budget));
-    let started = Instant::now();
-    match engine.run_ctx(&ctx) {
-        Ok(out) => RunResult::Done {
-            elapsed: started.elapsed(),
-            rows: out.result.rows.len(),
-        },
-        Err(EngineError::Timeout) | Err(EngineError::Resource) => {
-            RunResult::DidNotFinish { budget }
-        }
-        Err(EngineError::Unsupported(_)) => RunResult::Unsupported,
-        Err(e) => panic!("AIQL (segmented) failed on {}: {e}", q.id),
-    }
-}
-
 /// Runs the big-join SQL baseline.
 pub fn run_postgres(store: &EventStore, q: &CatalogQuery, budget: Duration) -> RunResult {
     if q.kind == QueryKind::Anomaly {

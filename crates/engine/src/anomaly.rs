@@ -15,17 +15,18 @@
 use crate::error::EngineError;
 use crate::exec::ExecPolicy;
 use crate::layout::{resolve_field, START_COL};
-use crate::pattern::{execute_pattern, Deadline, EngineStats, StoreRef};
+use crate::pattern::{execute_pattern, Deadline, EngineStats};
 use crate::result::{moving_average, Accum, EngineResult};
 use crate::synth::ExtraCstr;
 use aiql_core::ast::{AggFunc, CmpOp as AstCmp};
 use aiql_core::{ArithCtx, HavingCtx, QueryContext, RetExprCtx};
 use aiql_rdb::Value;
+use aiql_storage::EventStore;
 use std::collections::BTreeMap;
 
 /// Executes an anomaly query.
 pub fn run_anomaly(
-    store: StoreRef<'_>,
+    store: &EventStore,
     ctx: &QueryContext,
     exec: ExecPolicy,
     deadline: Deadline,

@@ -1,19 +1,23 @@
 //! The AIQL query execution engine (paper Sec. 5).
 //!
 //! The engine executes [`aiql_core::QueryContext`]s against an
-//! [`aiql_storage::EventStore`] (or a Greenplum-style
-//! [`aiql_storage::SegmentedStore`]):
+//! [`aiql_storage::EventStore`]:
 //!
 //! 1. per event pattern it **synthesizes a data query** ([`synth`]),
 //! 2. a **scheduler** orders and constrains the data queries —
 //!    relationship-based (paper Algorithm 1) or fetch-and-filter
 //!    ([`schedule`]),
-//! 3. events scans **parallelize across time/space partitions** and MPP
-//!    segments ([`pattern`]),
+//! 3. events scans **parallelize across time/space partitions**, scattered
+//!    over the store's execution shards ([`pattern`]),
 //! 4. **dependency** queries arrive pre-compiled to multievent form (the
 //!    rewrite lives in `aiql-core`), and
 //! 5. **anomaly** queries run through the sliding-window executor with
 //!    history states and moving averages ([`anomaly`]).
+//!
+//! Every statement, whichever entry point it came through ([`Engine::run`],
+//! [`Engine::run_ctx`], or a [`Session`]), runs through one instrumented
+//! funnel: it is traced, timed into `aiql_engine_execute_micros` and the
+//! phase histograms, and offered to the slow-query log.
 //!
 //! # Examples
 //!
@@ -53,38 +57,16 @@ pub mod tupleset;
 
 pub use error::EngineError;
 pub use exec::{ExecPolicy, ScatterProfile};
-pub use pattern::{Deadline, EngineStats, ScanRecord, ScanTarget, StoreRef};
+pub use pattern::{Deadline, EngineStats, ScanRecord, ScanTarget};
 pub use result::EngineResult;
 pub use schedule::Scheduler;
 pub use scoring::ScoreModel;
 pub use session::{Bound, Cursor, Explain, Params, PatternPlan, Prepared, Session};
 
-use aiql_core::{PlanCache, QueryContext, QueryKind};
-use aiql_storage::{EventStore, SegmentedStore, SharedStore, StoreStamp};
-use std::sync::{Mutex, OnceLock};
+use aiql_core::{PreparedQuery, QueryContext, QueryKind};
+use aiql_storage::EventStore;
+use aiql_telemetry::trace::{self, SpanNode};
 use std::time::{Duration, Instant};
-
-/// The process-wide plan cache behind the legacy one-shot entry points
-/// ([`Engine::run`] / [`run_live`]): repeated identical source text is
-/// lexed, parsed, and analyzed once, then served from the cache — the
-/// session API's amortization without a session.
-fn legacy_plan_cache() -> &'static Mutex<PlanCache> {
-    static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PlanCache::new(session::SESSION_PLAN_CACHE_CAPACITY)))
-}
-
-/// Counters of the process-wide plan cache behind [`Engine::run`] /
-/// [`run_live`] (hits, misses, entries, capacity) — the legacy path's
-/// counterpart of [`Session::cache_stats`]. Hits and misses also feed the
-/// global registry's `aiql_core_plan_cache_*` counters; the resident entry
-/// count is mirrored into the `aiql_engine_legacy_plan_cache_entries`
-/// gauge on every legacy-path compile.
-pub fn legacy_cache_stats() -> aiql_core::CacheStats {
-    legacy_plan_cache()
-        .lock()
-        .expect("plan cache lock poisoned")
-        .stats()
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -184,7 +166,7 @@ impl PlanSlot {
 
 /// The query engine, bound to a store.
 pub struct Engine<'a> {
-    store: StoreRef<'a>,
+    store: &'a EventStore,
     config: EngineConfig,
     plan: Option<&'a PlanSlot>,
 }
@@ -202,7 +184,7 @@ impl<'a> Engine<'a> {
     /// (relationship-based scheduling, partition parallelism).
     pub fn new(store: &'a EventStore) -> Engine<'a> {
         Engine {
-            store: StoreRef::Single(store),
+            store,
             config: EngineConfig::aiql(),
             plan: None,
         }
@@ -211,16 +193,7 @@ impl<'a> Engine<'a> {
     /// An engine with an explicit configuration.
     pub fn with_config(store: &'a EventStore, config: EngineConfig) -> Engine<'a> {
         Engine {
-            store: StoreRef::Single(store),
-            config,
-            plan: None,
-        }
-    }
-
-    /// An engine over a segmented (MPP) store.
-    pub fn segmented(store: &'a SegmentedStore, config: EngineConfig) -> Engine<'a> {
-        Engine {
-            store: StoreRef::Segmented(store),
+            store,
             config,
             plan: None,
         }
@@ -237,34 +210,28 @@ impl<'a> Engine<'a> {
 
     /// Compiles and runs an AIQL query, returning just the result.
     ///
-    /// A thin back-compat wrapper over the prepared-statement machinery:
-    /// compilation goes through the process-wide plan cache, so re-running
-    /// identical source costs a lookup instead of a parse. For
+    /// A one-shot convenience: the source is compiled on every call. For
     /// parameterized, iterated investigations use [`Session`] /
-    /// [`Session::prepare`] instead.
+    /// [`Session::prepare`], whose plan cache compiles each text once.
     pub fn run(&self, source: &str) -> Result<EngineResult, EngineError> {
         self.run_outcome(source).map(|o| o.result)
     }
 
     /// Compiles and runs an AIQL query, returning result + statistics.
-    /// Cached like [`Engine::run`].
     pub fn run_outcome(&self, source: &str) -> Result<Outcome, EngineError> {
-        let stmt = {
-            let mut cache = legacy_plan_cache()
-                .lock()
-                .expect("plan cache lock poisoned");
-            let stmt = cache.get_or_compile(source)?;
-            metrics::metrics()
-                .legacy_cache_entries
-                .set(cache.stats().entries as i64);
-            stmt
-        };
-        match stmt.static_ctx() {
-            Some(ctx) => self.run_ctx(ctx),
+        let stmt = PreparedQuery::compile(source)?;
+        let params = Params::new();
+        let bound;
+        let ctx = match stmt.static_ctx() {
+            Some(ctx) => ctx,
             // `$name` placeholders need a binding — surface the analyzer's
             // unbound-parameter error rather than executing nonsense.
-            None => self.run_ctx(&stmt.bind(&aiql_core::ParamValues::new())?),
-        }
+            None => {
+                bound = stmt.bind(&params)?;
+                &bound
+            }
+        };
+        self.funnel(ctx, || (source.to_string(), params.render())).0
     }
 
     /// The scheduler scores for `ctx`: from the attached [`PlanSlot`] when
@@ -284,28 +251,81 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs a pre-compiled query context.
+    /// Runs a pre-compiled query context through the instrumented funnel
+    /// every statement shares (see the [crate docs](crate)). With no source
+    /// text at hand, the slow-query log labels the statement with the
+    /// context's `Debug` rendering.
     pub fn run_ctx(&self, ctx: &QueryContext) -> Result<Outcome, EngineError> {
-        metrics::metrics().statements.inc();
+        self.funnel(ctx, || (format!("{ctx:?}"), Params::new().render()))
+            .0
+    }
+
+    /// The one instrumented execution path. Counts the statement in
+    /// `aiql_engine_statements_total`, collects its `execute`-rooted phase
+    /// tree, records its wall time into `aiql_engine_execute_micros` and
+    /// its phases into the per-phase histograms — failed statements
+    /// included — and, when it finished at or above the
+    /// [`aiql_telemetry::slowlog`] threshold, logs it under the
+    /// `(source, params)` pair `label` renders. Returns the outcome and the
+    /// phase tree.
+    pub(crate) fn funnel(
+        &self,
+        ctx: &QueryContext,
+        label: impl FnOnce() -> (String, String),
+    ) -> (Result<Outcome, EngineError>, Option<SpanNode>) {
+        let m = metrics::metrics();
+        m.statements.inc();
+        trace::begin("execute");
         let started = Instant::now();
-        let deadline = Deadline(self.config.budget.map(|b| started + b));
         let mut stats = EngineStats::default();
-        let result = match ctx.kind {
+        let ran = self.execute(ctx, started, &mut stats);
+        let elapsed = started.elapsed();
+        let tree = trace::finish();
+        let elapsed_micros = elapsed.as_micros() as u64;
+        m.execute_micros.record(elapsed_micros);
+        if let Some(t) = &tree {
+            metrics::record_phases(m, t);
+        }
+        let ran = ran.map(|result| Outcome {
+            result,
+            stats,
+            elapsed,
+        });
+        if let Ok(outcome) = &ran {
+            let slowlog = aiql_telemetry::slowlog::global();
+            if slowlog.is_slow(elapsed_micros) {
+                m.slow_queries.inc();
+                let (source, params) = label();
+                slowlog.record(aiql_telemetry::slowlog::SlowQueryEntry {
+                    source,
+                    params,
+                    elapsed_micros,
+                    rows: outcome.result.rows.len() as u64,
+                    profile: render_profile(&outcome.stats),
+                });
+            }
+        }
+        (ran, tree)
+    }
+
+    /// Plans and executes `ctx`: the uninstrumented body of the funnel.
+    fn execute(
+        &self,
+        ctx: &QueryContext,
+        started: Instant,
+        stats: &mut EngineStats,
+    ) -> Result<EngineResult, EngineError> {
+        let deadline = Deadline(self.config.budget.map(|b| started + b));
+        match ctx.kind {
             QueryKind::Anomaly => {
-                let _anomaly = aiql_telemetry::trace::span("anomaly");
-                anomaly::run_anomaly(
-                    self.store,
-                    ctx,
-                    self.config.exec_policy(),
-                    deadline,
-                    &mut stats,
-                )?
+                let _anomaly = trace::span("anomaly");
+                anomaly::run_anomaly(self.store, ctx, self.config.exec_policy(), deadline, stats)
             }
             QueryKind::Multievent | QueryKind::Dependency => {
                 let joined = match self.config.scheduler {
                     Scheduler::Relationship => {
                         let scores = {
-                            let _plan = aiql_telemetry::trace::span("plan");
+                            let _plan = trace::span("plan");
                             self.plan_scores(ctx)
                         };
                         schedule::relationship_based_scored(
@@ -314,7 +334,7 @@ impl<'a> Engine<'a> {
                             &scores,
                             self.config.exec_policy(),
                             deadline,
-                            &mut stats,
+                            stats,
                         )?
                     }
                     Scheduler::FetchFilter => schedule::fetch_and_filter(
@@ -322,53 +342,45 @@ impl<'a> Engine<'a> {
                         ctx,
                         self.config.exec_policy(),
                         deadline,
-                        &mut stats,
+                        stats,
                     )?,
                 };
-                let _score = aiql_telemetry::trace::span("score");
-                result::assemble(ctx, &joined, &mut stats)?
+                let _score = trace::span("score");
+                result::assemble(ctx, &joined, stats)
             }
-        };
-        Ok(Outcome {
-            result,
-            stats,
-            elapsed: started.elapsed(),
-        })
+        }
     }
 }
 
-/// A query outcome over a live store, tagged with the snapshot it saw.
-#[derive(Debug, Clone)]
-pub struct LiveOutcome {
-    /// Result, statistics, and elapsed time of the run.
-    pub outcome: Outcome,
-    /// The store version the whole query observed: the query pins one
-    /// immutable snapshot for the duration of the run.
-    pub stamp: StoreStamp,
-}
-
-/// Runs a query against a [`SharedStore`] at one consistent snapshot.
-///
-/// The engine pins the currently published [`aiql_storage::StoreSnapshot`]
-/// — a wait-free `Arc` clone — and every scan of the run borrows from that
-/// pinned snapshot. Appends submitted concurrently (e.g. by an
-/// `aiql-ingest` ingestor on another thread) publish *new* snapshots and
-/// never mutate the pinned one, so they become visible to the *next*
-/// query, never mid-query — and, symmetrically, a long-running query never
-/// delays a flush. N reader threads can call this against the same handle
-/// with zero lock contention while ingestion runs. The returned
-/// [`LiveOutcome::stamp`] records exactly which prefix of the stream the
-/// result reflects.
-pub fn run_live(
-    store: &SharedStore,
-    config: EngineConfig,
-    source: &str,
-) -> Result<LiveOutcome, EngineError> {
-    let snapshot = store.read();
-    let stamp = snapshot.stamp();
-    let outcome = Engine::with_config(&snapshot, config).run_outcome(source)?;
-    debug_assert_eq!(snapshot.stamp(), stamp, "pinned snapshots are immutable");
-    Ok(LiveOutcome { outcome, stamp })
+/// Renders a one-line scan profile for the slow-query log: per scan, the
+/// access paths taken and the scanned→matched row funnel.
+fn render_profile(stats: &EngineStats) -> String {
+    stats
+        .scans
+        .iter()
+        .map(|s| {
+            let paths = s.profile.paths().join("+");
+            let scatter = match &s.scatter {
+                Some(sc) if sc.colocated => " · shard-local".to_string(),
+                Some(sc) => format!(
+                    " · shards {}/{} w{}",
+                    sc.shards_scanned, sc.shards_total, sc.workers
+                ),
+                None => String::new(),
+            };
+            format!(
+                "p{} {}({}): {} · rows {}→{}{}",
+                s.pattern,
+                s.table,
+                s.target.name(),
+                if paths.is_empty() { "no-scan" } else { &paths },
+                s.profile.rows_scanned,
+                s.profile.rows_matched,
+                scatter,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("; ")
 }
 
 /// Opens the store persisted at `dir` — newest snapshot plus write-ahead
@@ -383,17 +395,6 @@ pub fn open_store(dir: impl AsRef<std::path::Path>) -> Result<EventStore, Engine
     let dir = dir.as_ref();
     EventStore::open(dir)
         .map_err(|e| EngineError::Recovery(format!("opening store at `{}`: {e}", dir.display())))
-}
-
-/// Opens the store persisted at `dir` and runs one query against it — the
-/// one-shot post-mortem combinator over [`open_store`].
-pub fn run_persisted(
-    dir: impl AsRef<std::path::Path>,
-    config: EngineConfig,
-    source: &str,
-) -> Result<Outcome, EngineError> {
-    let store = open_store(dir)?;
-    Engine::with_config(&store, config).run_outcome(source)
 }
 
 #[cfg(test)]
@@ -663,14 +664,16 @@ mod tests {
     }
 
     #[test]
-    fn run_live_sees_growing_store_between_queries() {
-        let shared = SharedStore::new(store());
+    fn session_sees_growing_store_between_statements() {
+        let shared = aiql_storage::SharedStore::new(store());
+        let session = Session::open(&shared);
         let q = r#"(at "01/02/2017") agentid = 9 proc p4["%sbblv.exe"] read file f1 return p4, f1"#;
-        let first = run_live(&shared, EngineConfig::aiql(), q).unwrap();
-        assert_eq!(first.outcome.result.rows.len(), 1);
+        let first = session.prepare(q).unwrap().execute().unwrap();
+        assert_eq!(first.remaining(), 1);
 
-        // Append a second qualifying read; the next query sees it, and the
-        // stamps prove the two queries ran at different store versions.
+        // Append a second qualifying read; the next statement sees it, and
+        // the stamps prove the two statements ran at different store
+        // versions.
         {
             let mut w = shared.write();
             let t = Timestamp::from_ymd(2017, 1, 2).unwrap();
@@ -685,19 +688,19 @@ mod tests {
             ))
             .unwrap();
         }
-        let second = run_live(&shared, EngineConfig::aiql(), q).unwrap();
-        assert!(second.stamp > first.stamp);
-        assert_eq!(second.outcome.result.rows.len(), 2);
+        let second = session.prepare(q).unwrap().execute().unwrap();
+        assert!(second.stamp() > first.stamp());
+        assert_eq!(second.remaining(), 2);
     }
 
     #[test]
     fn segmented_engine_matches_single_node() {
         let d = dataset();
         let single = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let seg = SegmentedStore::ingest(&d, 4, true).unwrap();
+        let sharded = EventStore::ingest(&d, StoreConfig::partitioned().with_shards(4)).unwrap();
         let q = r#"(at "01/02/2017") proc p4["%sbblv.exe"] read file f1 return p4, f1"#;
         let a = Engine::new(&single).run(q).unwrap();
-        let b = Engine::segmented(&seg, EngineConfig::aiql())
+        let b = Engine::with_config(&sharded, EngineConfig::aiql())
             .run(q)
             .unwrap();
         let norm = |mut r: EngineResult| {

@@ -2,9 +2,9 @@
 //!
 //! A pattern execution scans the subject/object entity tables (index-
 //! accelerated), scans the `events` table with partition pruning — in
-//! parallel across partitions/segments when configured (the paper's
-//! time-window partition parallelism, Sec. 5.2) — and emits flattened
-//! match rows.
+//! parallel across the store's execution shards when configured (the
+//! paper's time-window partition parallelism, Sec. 5.2) — and emits
+//! flattened match rows.
 
 use crate::error::EngineError;
 use crate::exec::{self, ExecPolicy, ScatterProfile};
@@ -13,16 +13,9 @@ use crate::synth::{apply_extra, synthesize, DataQuery, ExtraCstr};
 use aiql_core::PatternCtx;
 use aiql_model::EntityKind;
 use aiql_rdb::{CmpOp, Expr, PartKey, Prune, Row, Value};
-use aiql_storage::{schema, EventStore, SegmentedStore};
+use aiql_storage::{schema, EventStore};
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Which store a query runs against.
-#[derive(Clone, Copy)]
-pub enum StoreRef<'a> {
-    Single(&'a EventStore),
-    Segmented(&'a SegmentedStore),
-}
 
 /// Execution statistics for one query.
 #[derive(Debug, Default, Clone)]
@@ -98,119 +91,38 @@ impl Deadline {
     }
 }
 
-/// Event rows produced by a scan: borrowed straight out of the store on the
-/// single-node path (no per-row clone), owned only when they had to cross a
-/// segment boundary.
-enum EventRows<'a> {
-    Borrowed(Vec<&'a Row>),
-    Owned(Vec<Row>),
-}
-
-impl<'a> StoreRef<'a> {
-    fn scan_entities_profiled(
-        &self,
-        kind: EntityKind,
-        conjuncts: &[Expr],
-        scanned: &mut u64,
-        profile: &mut aiql_rdb::ScanProfile,
-    ) -> Vec<Row> {
-        match self {
-            StoreRef::Single(s) => s.scan_entities_profiled(kind, conjuncts, scanned, profile),
-            StoreRef::Segmented(s) => {
-                let parts = s
-                    .sdb()
-                    .run_on_all(|db| {
-                        let t = db
-                            .plain(schema::entity_table(kind))
-                            .expect("entity tables are plain");
-                        let mut local = 0u64;
-                        let mut prof = aiql_rdb::ScanProfile {
-                            partitions_total: 1,
-                            partitions_scanned: 1,
-                            ..Default::default()
-                        };
-                        let (_, pos) = t.select_profiled(conjuncts, &mut local, &mut prof);
-                        Ok((
-                            local,
-                            prof,
-                            pos.into_iter()
-                                .map(|p| t.row(p).clone())
-                                .collect::<Vec<Row>>(),
-                        ))
-                    })
-                    .expect("entity scan cannot fail");
-                let mut out = Vec::new();
-                for (local, prof, rows) in parts {
-                    *scanned += local;
-                    profile.merge(&prof);
-                    out.extend(rows);
-                }
-                out
-            }
+/// Scans the events table, scattering across the store's shards when the
+/// policy is parallel and the layout is partitioned. Rows stay borrowed
+/// from the store — no per-row clone.
+#[allow(clippy::too_many_arguments)]
+fn scan_events<'a>(
+    store: &'a EventStore,
+    conjuncts: &[Expr],
+    prune: &Prune,
+    exec: ExecPolicy,
+    deadline: Deadline,
+    scanned: &mut u64,
+    profile: &mut aiql_rdb::ScanProfile,
+    scatter: &mut Option<ScatterProfile>,
+) -> Result<Vec<&'a Row>, EngineError> {
+    deadline.check()?;
+    if exec.parallel {
+        if let Some(pt) = store.events_partitioned() {
+            let (rows, sp) = scatter_partition_scan(
+                pt,
+                store.shard_count(),
+                conjuncts,
+                prune,
+                exec,
+                deadline,
+                scanned,
+                profile,
+            )?;
+            *scatter = Some(sp);
+            return Ok(rows);
         }
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn scan_events(
-        &self,
-        conjuncts: &[Expr],
-        prune: &Prune,
-        exec: ExecPolicy,
-        deadline: Deadline,
-        scanned: &mut u64,
-        profile: &mut aiql_rdb::ScanProfile,
-        scatter: &mut Option<ScatterProfile>,
-    ) -> Result<EventRows<'a>, EngineError> {
-        deadline.check()?;
-        match self {
-            StoreRef::Single(s) => {
-                if exec.parallel {
-                    if let Some(pt) = s.events_partitioned() {
-                        let (rows, sp) = scatter_partition_scan(
-                            pt,
-                            s.shard_count(),
-                            conjuncts,
-                            prune,
-                            exec,
-                            deadline,
-                            scanned,
-                            profile,
-                        )?;
-                        *scatter = Some(sp);
-                        return Ok(EventRows::Borrowed(rows));
-                    }
-                }
-                Ok(EventRows::Borrowed(
-                    s.scan_events_profiled(conjuncts, prune, scanned, profile),
-                ))
-            }
-            StoreRef::Segmented(s) => {
-                // Segments scan in parallel; within each, partitions prune.
-                let parts = s.sdb().run_on_all(|db| {
-                    let pt = db
-                        .partitioned(schema::EVENTS)
-                        .expect("segmented events are partitioned");
-                    let derived = pt.prune_from_conjuncts(conjuncts);
-                    let merged = merge_prune(prune, &derived);
-                    let mut local = 0u64;
-                    let mut prof = aiql_rdb::ScanProfile::default();
-                    let rows: Vec<Row> = pt
-                        .select_refs_profiled(conjuncts, &merged, &mut local, &mut prof)
-                        .into_iter()
-                        .cloned()
-                        .collect();
-                    Ok((local, prof, rows))
-                })?;
-                let mut out = Vec::new();
-                for (local, prof, rows) in parts {
-                    *scanned += local;
-                    profile.merge(&prof);
-                    out.extend(rows);
-                }
-                Ok(EventRows::Owned(out))
-            }
-        }
-    }
+    Ok(store.scan_events_profiled(conjuncts, prune, scanned, profile))
 }
 
 fn merge_prune(a: &Prune, b: &Prune) -> Prune {
@@ -238,8 +150,7 @@ fn merge_prune(a: &Prune, b: &Prune) -> Prune {
 /// sequential `select_refs_profiled` walk produces, which is what lets the
 /// proptest oracle demand row-identical output. When pruning confines the
 /// scan to a single shard, the scan runs shard-local on the coordinator
-/// (no pool round-trip) — the in-process analogue of the segment layer's
-/// `query_local` vs `query_gather`.
+/// (no pool round-trip).
 ///
 /// Rows stay borrowed throughout: workers collect `&Row` per partition,
 /// so no event row is cloned regardless of parallelism. A worker panic
@@ -338,7 +249,7 @@ const ID_PUSHDOWN_LIMIT: usize = 20_000;
 
 /// Executes one pattern's data query; returns flattened match rows.
 pub fn execute_pattern(
-    store: StoreRef<'_>,
+    store: &EventStore,
     p: &PatternCtx,
     extra: &ExtraCstr,
     exec: ExecPolicy,
@@ -361,7 +272,7 @@ pub fn execute_pattern(
         None
     } else {
         Some(scan_entity_map(
-            &store,
+            store,
             EntityKind::Process,
             &q.subject,
             p.idx,
@@ -373,7 +284,7 @@ pub fn execute_pattern(
         None
     } else {
         Some(scan_entity_map(
-            &store,
+            store,
             p.object_kind,
             &q.object,
             p.idx,
@@ -410,12 +321,13 @@ pub fn execute_pattern(
         }
     }
 
-    // 3. Events scan. Rows stay borrowed from the store (or the segment
-    //    gather buffer) — they are only read and flattened, never kept.
+    // 3. Events scan. Rows stay borrowed from the store — they are only
+    //    read and flattened, never kept.
     let mut scanned = 0u64;
     let mut profile = aiql_rdb::ScanProfile::default();
     let mut scatter = None;
-    let scan = store.scan_events(
+    let events = scan_events(
+        store,
         &event_conjuncts,
         &q.prune,
         exec,
@@ -431,14 +343,6 @@ pub fn execute_pattern(
         profile,
         scatter,
     });
-    let owned_events: Vec<Row>;
-    let events: Vec<&Row> = match scan {
-        EventRows::Borrowed(v) => v,
-        EventRows::Owned(o) => {
-            owned_events = o;
-            owned_events.iter().collect()
-        }
-    };
     stats.rows_scanned += scanned;
 
     // 4. Filter by entity maps and resolve missing entity rows in batches.
@@ -463,7 +367,7 @@ pub fn execute_pattern(
     let subj_map = match subj_map {
         Some(m) => m,
         None => batch_lookup(
-            &store,
+            store,
             EntityKind::Process,
             need_subj,
             p.idx,
@@ -474,7 +378,7 @@ pub fn execute_pattern(
     let obj_map = match obj_map {
         Some(m) => m,
         None => batch_lookup(
-            &store,
+            store,
             p.object_kind,
             need_obj,
             p.idx,
@@ -500,7 +404,7 @@ pub fn execute_pattern(
 }
 
 fn scan_entity_map(
-    store: &StoreRef<'_>,
+    store: &EventStore,
     kind: EntityKind,
     conjuncts: &[Expr],
     pattern: usize,
@@ -524,7 +428,7 @@ fn scan_entity_map(
 }
 
 fn batch_lookup(
-    store: &StoreRef<'_>,
+    store: &EventStore,
     kind: EntityKind,
     mut ids: Vec<i64>,
     pattern: usize,
@@ -606,7 +510,7 @@ mod tests {
         let ctx = compile(src).unwrap();
         let mut stats = EngineStats::default();
         execute_pattern(
-            StoreRef::Single(&store),
+            &store,
             &ctx.patterns[0],
             &ExtraCstr::default(),
             policy(parallel),
@@ -674,7 +578,7 @@ mod tests {
                     .unwrap();
             let mut s1 = EngineStats::default();
             let seq = execute_pattern(
-                StoreRef::Single(&store),
+                &store,
                 &ctx.patterns[0],
                 &ExtraCstr::default(),
                 policy(false),
@@ -685,7 +589,7 @@ mod tests {
             for workers in [1usize, 2, 4] {
                 let mut s2 = EngineStats::default();
                 let par = execute_pattern(
-                    StoreRef::Single(&store),
+                    &store,
                     &ctx.patterns[0],
                     &ExtraCstr::default(),
                     ExecPolicy {
@@ -732,7 +636,7 @@ mod tests {
         };
         let mut stats = EngineStats::default();
         let rows = execute_pattern(
-            StoreRef::Single(&store),
+            &store,
             &ctx.patterns[0],
             &extra,
             policy(false),
@@ -747,12 +651,12 @@ mod tests {
     fn segmented_store_matches_single() {
         let d = dataset();
         let single = EventStore::ingest(&d, StoreConfig::partitioned()).unwrap();
-        let seg = SegmentedStore::ingest(&d, 3, true).unwrap();
+        let sharded = EventStore::ingest(&d, StoreConfig::partitioned().with_shards(4)).unwrap();
         let ctx = compile("proc p read || write || start file f return p, f").unwrap();
         let mut s1 = EngineStats::default();
         let mut s2 = EngineStats::default();
         let mut a = execute_pattern(
-            StoreRef::Single(&single),
+            &single,
             &ctx.patterns[0],
             &ExtraCstr::default(),
             policy(false),
@@ -761,10 +665,10 @@ mod tests {
         )
         .unwrap();
         let mut b = execute_pattern(
-            StoreRef::Segmented(&seg),
+            &sharded,
             &ctx.patterns[0],
             &ExtraCstr::default(),
-            policy(false),
+            crate::EngineConfig::aiql().exec_policy(),
             Deadline::none(),
             &mut s2,
         )

@@ -16,12 +16,12 @@
 //!
 //! The `ablation` Criterion bench and `tests/ablation.rs` compare the two.
 
-use crate::pattern::{EngineStats, StoreRef};
+use crate::pattern::EngineStats;
 use crate::synth::synthesize;
 use aiql_core::QueryContext;
 use aiql_model::EntityKind;
 use aiql_rdb::Prune;
-use aiql_storage::schema;
+use aiql_storage::EventStore;
 
 /// How the scheduler estimates pattern pruning power.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,22 +36,22 @@ pub enum ScoreModel {
 
 /// Computes per-pattern scores under the chosen model (higher = executed
 /// earlier).
-pub fn scores(model: ScoreModel, store: StoreRef<'_>, ctx: &QueryContext) -> Vec<u32> {
+pub fn scores(model: ScoreModel, store: &EventStore, ctx: &QueryContext) -> Vec<u32> {
     match model {
         ScoreModel::ConstraintCount => ctx.patterns.iter().map(|p| p.score).collect(),
         ScoreModel::DataStatistics => statistical_scores(store, ctx),
     }
 }
 
-fn statistical_scores(store: StoreRef<'_>, ctx: &QueryContext) -> Vec<u32> {
+fn statistical_scores(store: &EventStore, ctx: &QueryContext) -> Vec<u32> {
     // Total entity counts, for selectivity denominators (entity tables are
     // small; a full count scan is cheap and runs once per query).
     let mut throwaway = EngineStats::default();
-    let totals = entity_totals(&store, &mut throwaway);
+    let totals = entity_totals(store, &mut throwaway);
     ctx.patterns
         .iter()
         .map(|p| {
-            let est = pattern_estimate(&store, p, &totals, &mut throwaway);
+            let est = pattern_estimate(store, p, &totals, &mut throwaway);
             // Fewer estimated matches ⇒ higher score. log2(2^40) headroom.
             (40.0 - (est + 1.0).log2()).max(0.0).round() as u32
         })
@@ -59,7 +59,7 @@ fn statistical_scores(store: StoreRef<'_>, ctx: &QueryContext) -> Vec<u32> {
 }
 
 /// Total rows per entity kind, ordered `[File, Process, NetConn]`.
-fn entity_totals(store: &StoreRef<'_>, stats: &mut EngineStats) -> [f64; 3] {
+fn entity_totals(store: &EventStore, stats: &mut EngineStats) -> [f64; 3] {
     let mut total =
         |kind: EntityKind| -> f64 { entity_count(store, kind, &[], stats).max(1) as f64 };
     [
@@ -73,7 +73,7 @@ fn entity_totals(store: &StoreRef<'_>, stats: &mut EngineStats) -> [f64; 3] {
 /// admitted partitions × uniform operation-mix fraction × measured
 /// entity-filter selectivities.
 fn pattern_estimate(
-    store: &StoreRef<'_>,
+    store: &EventStore,
     p: &aiql_core::PatternCtx,
     totals: &[f64; 3],
     stats: &mut EngineStats,
@@ -102,17 +102,17 @@ fn pattern_estimate(
 /// Estimated match rows for every pattern of `ctx`, from the same store
 /// statistics the [`ScoreModel::DataStatistics`] scorer uses — the
 /// "estimated rows" column of the session API's `EXPLAIN`.
-pub fn estimate_rows(store: StoreRef<'_>, ctx: &QueryContext) -> Vec<u64> {
+pub fn estimate_rows(store: &EventStore, ctx: &QueryContext) -> Vec<u64> {
     let mut throwaway = EngineStats::default();
-    let totals = entity_totals(&store, &mut throwaway);
+    let totals = entity_totals(store, &mut throwaway);
     ctx.patterns
         .iter()
-        .map(|p| pattern_estimate(&store, p, &totals, &mut throwaway).round() as u64)
+        .map(|p| pattern_estimate(store, p, &totals, &mut throwaway).round() as u64)
         .collect()
 }
 
 fn entity_count(
-    store: &StoreRef<'_>,
+    store: &EventStore,
     kind: EntityKind,
     conjuncts: &[aiql_rdb::Expr],
     stats: &mut EngineStats,
@@ -123,61 +123,25 @@ fn entity_count(
 }
 
 fn store_scan_entities(
-    store: &StoreRef<'_>,
+    store: &EventStore,
     kind: EntityKind,
     conjuncts: &[aiql_rdb::Expr],
     stats: &mut EngineStats,
 ) -> Vec<aiql_rdb::Row> {
     let mut scanned = 0u64;
-    let rows = match store {
-        StoreRef::Single(s) => s.scan_entities(kind, conjuncts, &mut scanned),
-        StoreRef::Segmented(s) => {
-            let parts = s
-                .sdb()
-                .run_on_all(|db| {
-                    let t = db
-                        .plain(schema::entity_table(kind))
-                        .expect("entity tables are plain");
-                    let mut local = 0u64;
-                    let (_, pos) = t.select(conjuncts, &mut local);
-                    Ok(pos
-                        .into_iter()
-                        .map(|p| t.row(p).clone())
-                        .collect::<Vec<_>>())
-                })
-                .expect("entity scan");
-            parts.into_iter().flatten().collect()
-        }
-    };
+    let rows = store.scan_entities(kind, conjuncts, &mut scanned);
     stats.rows_scanned += scanned;
     rows
 }
 
-fn estimate_events(store: &StoreRef<'_>, prune: &Prune) -> u64 {
-    match store {
-        StoreRef::Single(s) => match s.events_partitioned() {
-            Some(pt) => pt
-                .partitions_for(prune)
-                .iter()
-                .map(|(_, t)| t.len() as u64)
-                .sum(),
-            None => s.event_count() as u64,
-        },
-        StoreRef::Segmented(s) => s
-            .sdb()
-            .run_on_all(|db| {
-                Ok(db
-                    .partitioned(schema::EVENTS)
-                    .map(|pt| {
-                        pt.partitions_for(prune)
-                            .iter()
-                            .map(|(_, t)| t.len() as u64)
-                            .sum::<u64>()
-                    })
-                    .unwrap_or(0))
-            })
-            .map(|v| v.into_iter().sum())
-            .unwrap_or(0),
+fn estimate_events(store: &EventStore, prune: &Prune) -> u64 {
+    match store.events_partitioned() {
+        Some(pt) => pt
+            .partitions_for(prune)
+            .iter()
+            .map(|(_, t)| t.len() as u64)
+            .sum(),
+        None => store.event_count() as u64,
     }
 }
 
@@ -186,7 +150,7 @@ mod tests {
     use super::*;
     use aiql_core::compile;
     use aiql_model::{AgentId, Dataset, Entity, Event, OpType, Timestamp};
-    use aiql_storage::{EventStore, StoreConfig};
+    use aiql_storage::StoreConfig;
 
     /// A dataset where constraint counting is misleading: `noisy.exe`
     /// matches a 3-constraint pattern on every row, while a 1-constraint
@@ -237,8 +201,8 @@ mod tests {
     fn constraint_count_is_fooled_statistics_are_not() {
         let store = EventStore::ingest(&misleading(), StoreConfig::partitioned()).unwrap();
         let ctx = compile(QUERY).unwrap();
-        let by_count = scores(ScoreModel::ConstraintCount, StoreRef::Single(&store), &ctx);
-        let by_stats = scores(ScoreModel::DataStatistics, StoreRef::Single(&store), &ctx);
+        let by_count = scores(ScoreModel::ConstraintCount, &store, &ctx);
+        let by_stats = scores(ScoreModel::DataStatistics, &store, &ctx);
         // Constraint counting ranks the noisy pattern (3 atoms) above the
         // selective one (1 atom)...
         assert!(by_count[0] > by_count[1], "count model: {by_count:?}");
@@ -251,7 +215,7 @@ mod tests {
         let store = EventStore::ingest(&misleading(), StoreConfig::partitioned()).unwrap();
         // A pattern on an empty day estimates ~0 matches → max-ish score.
         let ctx = compile(r#"(at "06/01/2019") proc p read file f as e1 return p"#).unwrap();
-        let s = scores(ScoreModel::DataStatistics, StoreRef::Single(&store), &ctx);
+        let s = scores(ScoreModel::DataStatistics, &store, &ctx);
         assert!(s[0] >= 39, "empty window should score near the cap: {s:?}");
     }
 
@@ -260,7 +224,7 @@ mod tests {
         let store = EventStore::ingest(&misleading(), StoreConfig::partitioned()).unwrap();
         let ctx = compile(QUERY).unwrap();
         for model in [ScoreModel::ConstraintCount, ScoreModel::DataStatistics] {
-            assert_eq!(scores(model, StoreRef::Single(&store), &ctx).len(), 2);
+            assert_eq!(scores(model, &store, &ctx).len(), 2);
         }
     }
 }

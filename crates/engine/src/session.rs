@@ -54,7 +54,7 @@
 //! ```
 
 use crate::error::EngineError;
-use crate::pattern::{EngineStats, ScanRecord, StoreRef};
+use crate::pattern::{EngineStats, ScanRecord};
 use crate::result::EngineResult;
 use crate::scoring;
 use crate::{Engine, EngineConfig, Outcome, PlanSlot};
@@ -400,30 +400,10 @@ impl Bound {
     pub fn execute(self) -> Result<Cursor, EngineError> {
         let snapshot = self.core.snapshot();
         let stamp = snapshot.stamp();
-        aiql_telemetry::trace::begin("execute");
-        let ran = Engine::with_config(&snapshot, self.core.exec_config())
+        let (ran, trace) = Engine::with_config(&snapshot, self.core.exec_config())
             .with_plan_slot(&self.plan)
-            .run_ctx(&self.ctx);
-        let trace = aiql_telemetry::trace::finish();
-        let outcome = ran?;
-        let m = crate::metrics::metrics();
-        let elapsed_micros = outcome.elapsed.as_micros() as u64;
-        m.execute_micros.record(elapsed_micros);
-        if let Some(t) = &trace {
-            crate::metrics::record_phases(m, t);
-        }
-        let slowlog = aiql_telemetry::slowlog::global();
-        if slowlog.is_slow(elapsed_micros) {
-            m.slow_queries.inc();
-            slowlog.record(aiql_telemetry::slowlog::SlowQueryEntry {
-                source: self.source.clone(),
-                params: self.params.clone(),
-                elapsed_micros,
-                rows: outcome.result.rows.len() as u64,
-                profile: render_profile(&outcome.stats),
-            });
-        }
-        Ok(Cursor::new(outcome, stamp, self.offset, self.limit, trace))
+            .funnel(&self.ctx, || (self.source, self.params));
+        Ok(Cursor::new(ran?, stamp, self.offset, self.limit, trace))
     }
 
     /// Executes with instrumentation and reports the physical plan that
@@ -434,11 +414,11 @@ impl Bound {
     pub fn explain(&self) -> Result<Explain, EngineError> {
         let snapshot = self.core.snapshot();
         let stamp = snapshot.stamp();
-        let store_ref = StoreRef::Single(&snapshot);
-        let estimates = scoring::estimate_rows(store_ref, &self.ctx);
-        let outcome = Engine::with_config(&snapshot, self.core.exec_config())
+        let estimates = scoring::estimate_rows(&snapshot, &self.ctx);
+        let (ran, _) = Engine::with_config(&snapshot, self.core.exec_config())
             .with_plan_slot(&self.plan)
-            .run_ctx(&self.ctx)?;
+            .funnel(&self.ctx, || (self.source.clone(), self.params.clone()));
+        let outcome = ran?;
         let patterns = (0..self.ctx.patterns.len())
             .map(|idx| {
                 let actual = outcome
@@ -618,37 +598,6 @@ impl Iterator for Cursor {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
     }
-}
-
-/// Renders a one-line scan profile for the slow-query log: per scan, the
-/// access paths taken and the scanned→matched row funnel.
-fn render_profile(stats: &EngineStats) -> String {
-    stats
-        .scans
-        .iter()
-        .map(|s| {
-            let paths = s.profile.paths().join("+");
-            let scatter = match &s.scatter {
-                Some(sc) if sc.colocated => " · shard-local".to_string(),
-                Some(sc) => format!(
-                    " · shards {}/{} w{}",
-                    sc.shards_scanned, sc.shards_total, sc.workers
-                ),
-                None => String::new(),
-            };
-            format!(
-                "p{} {}({}): {} · rows {}→{}{}",
-                s.pattern,
-                s.table,
-                s.target.name(),
-                if paths.is_empty() { "no-scan" } else { &paths },
-                s.profile.rows_scanned,
-                s.profile.rows_matched,
-                scatter,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("; ")
 }
 
 /// The physical plan of one pattern's data query, with estimation error

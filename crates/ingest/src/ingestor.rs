@@ -443,8 +443,8 @@ impl Ingestor {
         ))
     }
 
-    /// A cloneable handle for concurrent readers (`aiql_engine::run_live`
-    /// is the query side).
+    /// A cloneable handle for concurrent readers (an `aiql_engine::Session`
+    /// opened over it is the query side).
     pub fn shared(&self) -> SharedStore {
         match &self.backend {
             Backend::Plain(s) => s.clone(),

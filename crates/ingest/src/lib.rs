@@ -29,7 +29,7 @@
 //!   [`SharedStore`](aiql_storage::SharedStore) — an epoch-swapped
 //!   snapshot store. A flush applies the whole queue to the writer's
 //!   private head and publishes one new immutable snapshot at the end, so
-//!   queries (e.g. via `aiql_engine::run_live`) pin a point-in-time view
+//!   queries (e.g. through an `aiql_engine::Session`) pin a point-in-time view
 //!   and see flush boundaries, never half-applied batches — without
 //!   readers and the flush ever waiting on each other.
 //!

@@ -16,7 +16,7 @@
 //!   translation of a multievent query,
 //! - time/space [`partition`]ing of tables with partition pruning (the
 //!   paper's Sec. 3.2 storage optimization), and
-//! - an MPP [`segment`] layer with pluggable placement policies and
+//! - an MPP [`segment`] layer with round-robin placement and
 //!   scatter/gather execution (the Greenplum analogue of Sec. 6.3.3).
 //!
 //! Execution is materialized and cancellable: long-running queries observe a
@@ -58,7 +58,7 @@ pub use exec::{ExecCtx, ExecStats, ResultSet};
 pub use expr::{CmpOp, Expr};
 pub use partition::{shard_of, InsertReport, PartKey, PartitionSpec, PartitionedTable, Prune};
 pub use schema::{ColumnType, Row, Schema};
-pub use segment::{Placement, SegmentedDb};
+pub use segment::SegmentedDb;
 pub use table::{AccessPath, ScanProfile, SealedChunk, Table, DEFAULT_CHUNK_ROWS};
 
 use std::collections::BTreeMap;

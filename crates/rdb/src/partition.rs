@@ -50,8 +50,9 @@ pub type PartKey = (i64, u32);
 /// partitions can be scanned by one worker with no coordination. The hash
 /// (FNV-1a over both key components) is stable across runs and across
 /// shard counts being queried, which keeps routing a pure function of the
-/// data — the same property `Placement::ByAgent` gives the MPP segment
-/// layer, generalized to the time dimension.
+/// data: all rows of one agent group on one day share a shard — the
+/// by-host placement of the paper's MPP comparison (Fig. 7), generalized
+/// to the time dimension.
 pub fn shard_of(key: &PartKey, shards: usize) -> usize {
     if shards <= 1 {
         return 0;

@@ -1,26 +1,16 @@
 //! MPP (massively parallel processing) segments — the Greenplum analogue.
 //!
 //! A [`SegmentedDb`] holds K independent [`Database`] segments. Rows are
-//! routed by a [`Placement`] policy:
+//! placed round-robin in arrival order — Greenplum's default behaviour on
+//! the paper's data *without* the semantics-aware model — so any
+//! host/time-constrained query touches every segment and joins cannot run
+//! segment-locally.
 //!
-//! - [`Placement::RoundRobin`] models Greenplum's default behaviour on the
-//!   paper's data *without* the semantics-aware model: events are distributed
-//!   by arrival order, so any host/time-constrained query touches every
-//!   segment and joins cannot run segment-locally.
-//! - [`Placement::ByAgent`] models AIQL's data model on Greenplum: all rows
-//!   of one host land on one segment, host workloads spread evenly across
-//!   segments, and per-host joins are co-located.
-//!
-//! Two execution strategies mirror the paper's Fig. 7 systems:
-//!
-//! - [`SegmentedDb::query_gather`]: scan each referenced table on all
-//!   segments in parallel (with single-table predicate pushdown), gather the
-//!   matching rows to a coordinator, and run the join there single-threaded —
-//!   what an MPP engine must do when placement does not co-locate the join.
-//! - [`SegmentedDb::query_local`]: run the full query on every segment in
-//!   parallel and merge (re-applying ORDER BY/LIMIT at the coordinator) —
-//!   valid only when placement co-locates every join and group, which the
-//!   caller asserts by choosing this method.
+//! [`SegmentedDb::query_gather`] is the Greenplum side of the paper's
+//! Fig. 7: scan each referenced table on all segments in parallel (with
+//! single-table predicate pushdown), gather the matching rows to a
+//! coordinator, and run the join there single-threaded — what an MPP
+//! engine must do when placement does not co-locate the join.
 
 use crate::error::RdbError;
 use crate::exec::{ExecCtx, ResultSet};
@@ -30,39 +20,21 @@ use crate::sql;
 use crate::{Database, PartitionSpec};
 use std::time::Instant;
 
-/// Row-to-segment placement policy.
-#[derive(Debug, Clone)]
-pub enum Placement {
-    /// Arrival order: row i goes to segment i mod K.
-    RoundRobin,
-    /// By agent column: all rows with the same agent value share a segment.
-    ByAgent {
-        /// Column name holding the agent ID in every routed table.
-        agent_col: String,
-    },
-}
-
-/// A set of database segments with a shared schema and placement policy.
+/// A set of database segments with a shared schema and round-robin
+/// placement.
 pub struct SegmentedDb {
     segments: Vec<Database>,
-    placement: Placement,
     inserted: u64,
 }
 
 impl SegmentedDb {
-    /// Creates `k` empty segments under `placement`.
-    pub fn new(k: usize, placement: Placement) -> SegmentedDb {
+    /// Creates `k` empty segments.
+    pub fn new(k: usize) -> SegmentedDb {
         assert!(k > 0, "need at least one segment");
         SegmentedDb {
             segments: (0..k).map(|_| Database::new()).collect(),
-            placement,
             inserted: 0,
         }
-    }
-
-    /// Number of segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     /// Read access to one segment (for tests and diagnostics).
@@ -99,85 +71,11 @@ impl SegmentedDb {
         Ok(())
     }
 
-    /// Routes a row to its segment per the placement policy.
+    /// Routes a row to its segment: row i goes to segment i mod K.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<(), RdbError> {
-        let k = self.segments.len();
-        let seg = match &self.placement {
-            Placement::RoundRobin => (self.inserted as usize) % k,
-            Placement::ByAgent { agent_col } => {
-                let schema = self.segments[0].schema_of(table)?;
-                let idx = schema.require(agent_col)?;
-                let agent = row[idx].as_int().ok_or_else(|| {
-                    RdbError::SchemaMismatch(format!("placement column {agent_col} must be Int"))
-                })?;
-                agent.rem_euclid(k as i64) as usize
-            }
-        };
+        let seg = (self.inserted as usize) % self.segments.len();
         self.inserted += 1;
         self.segments[seg].insert(table, row)
-    }
-
-    /// Runs the same SQL on every segment in parallel and merges results,
-    /// re-applying ORDER BY and LIMIT at the coordinator. Rejects aggregate /
-    /// GROUP BY / DISTINCT queries (their partial results cannot be merged by
-    /// concatenation).
-    pub fn query_local(
-        &self,
-        sql_text: &str,
-        deadline: Option<Instant>,
-    ) -> Result<ResultSet, RdbError> {
-        let stmt = sql::parse_select(sql_text)?;
-        let has_agg = !stmt.group_by.is_empty()
-            || stmt.distinct
-            || stmt
-                .items
-                .iter()
-                .any(|i| matches!(i.expr, sql::SqlExpr::Agg(..)));
-        if has_agg {
-            return Err(RdbError::Plan(
-                "aggregate/DISTINCT queries are not mergeable in local mode; use query_gather"
-                    .into(),
-            ));
-        }
-        let results = self.run_on_all(|seg| {
-            let plan = plan::plan_select(seg, &stmt)?;
-            let mut ctx = ExecCtx::with_deadline(deadline);
-            crate::exec::execute(seg, &plan, &mut ctx)
-        })?;
-        let mut merged = results
-            .into_iter()
-            .reduce(|mut a, b| {
-                a.rows.extend(b.rows);
-                a
-            })
-            .expect("at least one segment");
-        // Re-apply ORDER BY / LIMIT across segments.
-        if !stmt.order_by.is_empty() {
-            let cols: Vec<(usize, bool)> = stmt
-                .order_by
-                .iter()
-                .filter_map(|(c, asc)| {
-                    merged
-                        .columns
-                        .iter()
-                        .position(|n| n == &c.column)
-                        .map(|p| (p, *asc))
-                })
-                .collect();
-            merged.rows.sort_by(|a, b| {
-                for (col, asc) in &cols {
-                    let ord = a[*col].cmp(&b[*col]);
-                    if ord != std::cmp::Ordering::Equal {
-                        return if *asc { ord } else { ord.reverse() };
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-        if let Some(n) = stmt.limit {
-            merged.rows.truncate(n);
-        }
-        Ok(merged)
     }
 
     /// Gather execution: pushes each table's single-table conjuncts down to
@@ -245,7 +143,7 @@ impl SegmentedDb {
 
     /// Runs `f` on every segment in parallel (scoped threads), collecting
     /// results in segment order.
-    pub fn run_on_all<T, F>(&self, f: F) -> Result<Vec<T>, RdbError>
+    fn run_on_all<T, F>(&self, f: F) -> Result<Vec<T>, RdbError>
     where
         T: Send,
         F: Fn(&Database) -> Result<T, RdbError> + Sync,
@@ -271,8 +169,8 @@ mod tests {
     use crate::schema::ColumnType;
     use aiql_model::Value;
 
-    fn seed(placement: Placement) -> SegmentedDb {
-        let mut db = SegmentedDb::new(3, placement);
+    fn seed() -> SegmentedDb {
+        let mut db = SegmentedDb::new(3);
         db.create_table(
             "events",
             Schema::new(&[
@@ -294,60 +192,15 @@ mod tests {
 
     #[test]
     fn round_robin_spreads_rows() {
-        let db = seed(Placement::RoundRobin);
+        let db = seed();
         for i in 0..3 {
             assert_eq!(db.segment(i).slot("events").unwrap().len(), 10);
         }
     }
 
     #[test]
-    fn by_agent_colocates_rows() {
-        let db = seed(Placement::ByAgent {
-            agent_col: "agentid".into(),
-        });
-        // Agent a lands on segment a mod 3; each segment sees only its agents.
-        for seg in 0..3 {
-            let t = db.segment(seg).plain("events").unwrap();
-            for row in t.iter_rows() {
-                let agent = row[1].as_int().unwrap();
-                assert_eq!(agent.rem_euclid(3) as usize, seg);
-            }
-        }
-    }
-
-    #[test]
-    fn local_query_merges_and_reorders() {
-        let db = seed(Placement::RoundRobin);
-        let rs = db
-            .query_local(
-                "SELECT e.id FROM events e WHERE e.val >= 40 ORDER BY e.id DESC LIMIT 3",
-                None,
-            )
-            .unwrap();
-        assert_eq!(
-            rs.rows,
-            vec![
-                vec![Value::Int(29)],
-                vec![Value::Int(28)],
-                vec![Value::Int(27)]
-            ]
-        );
-    }
-
-    #[test]
-    fn local_query_rejects_aggregates() {
-        let db = seed(Placement::RoundRobin);
-        assert!(db
-            .query_local("SELECT COUNT(*) FROM events e", None)
-            .is_err());
-        assert!(db
-            .query_local("SELECT DISTINCT e.agentid FROM events e", None)
-            .is_err());
-    }
-
-    #[test]
     fn gather_query_handles_joins_and_aggregates() {
-        let db = seed(Placement::RoundRobin);
+        let db = seed();
         let rs = db
             .query_gather(
                 "SELECT e.agentid, COUNT(*) AS n FROM events e GROUP BY e.agentid \
@@ -361,9 +214,7 @@ mod tests {
 
     #[test]
     fn gather_self_join_is_correct() {
-        let db = seed(Placement::ByAgent {
-            agent_col: "agentid".into(),
-        });
+        let db = seed();
         // Pairs of events of the same agent with increasing val.
         let rs = db
             .query_gather(
@@ -374,27 +225,5 @@ mod tests {
             .unwrap();
         // Agent 2 has events 2,7,12,17,22,27 → C(6,2)=15 ordered pairs.
         assert_eq!(rs.rows.len(), 15);
-    }
-
-    #[test]
-    fn gather_matches_local_on_colocated_query() {
-        let local = seed(Placement::ByAgent {
-            agent_col: "agentid".into(),
-        });
-        let mut a = local
-            .query_local(
-                "SELECT e.id FROM events e WHERE e.agentid = 1 ORDER BY e.id",
-                None,
-            )
-            .unwrap();
-        let mut b = local
-            .query_gather(
-                "SELECT e.id FROM events e WHERE e.agentid = 1 ORDER BY e.id",
-                None,
-            )
-            .unwrap();
-        a.rows.sort();
-        b.rows.sort();
-        assert_eq!(a.rows, b.rows);
     }
 }

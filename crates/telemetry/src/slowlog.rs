@@ -1,6 +1,6 @@
 //! A bounded, process-wide slow-query log.
 //!
-//! The engine's session layer measures every statement execution and
+//! The engine's execution funnel measures every statement and
 //! [`SlowQueryLog::record`]s the ones that ran longer than the
 //! configurable threshold. Entries keep everything an operator needs to
 //! understand the outlier after the fact: the source text, the bound

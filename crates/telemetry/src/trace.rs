@@ -1,8 +1,8 @@
 //! Structured trace spans: a per-thread collector that assembles one
 //! phase tree per traced operation.
 //!
-//! The engine's session layer calls [`begin`] before compiling or
-//! executing a statement, the layers underneath open [`span`]s around
+//! The engine calls [`begin`] before compiling (the session layer) or
+//! executing (the execution funnel) a statement, the layers underneath open [`span`]s around
 //! their phases (lex, parse, analyze, plan, one `scan:<pattern>` per
 //! event pattern, join, score), and [`finish`] returns the assembled
 //! [`SpanNode`] tree. Collection is per-thread and explicitly armed:
@@ -15,13 +15,13 @@
 //! ```
 //! use aiql_telemetry::trace;
 //!
-//! trace::begin("execute");
+//! trace::begin("statement");
 //! {
 //!     let _plan = trace::span("plan");
 //!     let _scan = trace::span("scan:evt1");
 //! }
 //! let tree = trace::finish().unwrap();
-//! assert_eq!(tree.name, "execute");
+//! assert_eq!(tree.name, "statement");
 //! assert_eq!(tree.children[0].name, "plan");
 //! assert_eq!(tree.children[0].children[0].name, "scan:evt1");
 //! ```

@@ -25,7 +25,7 @@
 
 use aiql::datagen::stream::{stream, StreamConfig};
 use aiql::datagen::EnterpriseSim;
-use aiql::engine::{open_store, run_live, Engine, EngineConfig, Session};
+use aiql::engine::{open_store, Engine, Session};
 use aiql::ingest::{EventBatch, IngestConfig, Ingestor};
 use aiql::storage::timesync::ClockSample;
 
@@ -149,6 +149,7 @@ fn stream_pipeline(
     skews: &[aiql::datagen::AgentSkew],
 ) {
     let total = batches.len();
+    let session = Session::open(shared);
     for (i, sb) in batches.into_iter().enumerate() {
         let mut eb = EventBatch {
             entities: sb.entities,
@@ -173,8 +174,11 @@ fn stream_pipeline(
         // Flush every few shipments and let the investigator poll.
         if (i + 1) % 8 == 0 || i + 1 == total {
             let report = ingestor.flush().expect("flush");
-            let live = run_live(shared, EngineConfig::aiql(), QUERY7).expect("query");
-            let chain = live.outcome.result.rows.len();
+            let live = session
+                .prepare(QUERY7)
+                .and_then(|stmt| stmt.execute())
+                .expect("query");
+            let chain = live.remaining();
             println!(
                 "shipment {:>3}/{total}: +{:>5} events, {:>2} partition rollover(s), \
                  watermark {}, store@{:>6} events -> exfiltration chains found: {}",
@@ -185,7 +189,7 @@ fn stream_pipeline(
                     .watermark()
                     .map(|w| w.to_string())
                     .unwrap_or_else(|| "-".into()),
-                live.stamp.events,
+                live.stamp().events,
                 chain,
             );
             if chain > 0 && i + 1 < total {
@@ -213,10 +217,10 @@ fn finish_and_restart(
     shared: aiql::storage::SharedStore,
     store_dir: &std::path::Path,
 ) {
-    let final_result = run_live(&shared, EngineConfig::aiql(), QUERY7).expect("final query");
+    let final_result = Session::open(&shared).run(QUERY7).expect("final query");
     println!("\n== paper Query 7 against the live store ==");
-    print!("{}", final_result.outcome.result);
-    assert_eq!(final_result.outcome.result.rows.len(), 1);
+    print!("{final_result}");
+    assert_eq!(final_result.rows.len(), 1);
     let live_events = shared.read().event_count();
 
     // "Restart": drop the pipeline without a final checkpoint — the tail

@@ -89,7 +89,7 @@ pub use aiql_wal as wal;
 /// Commonly used types, for glob import in examples and tests.
 pub mod prelude {
     pub use aiql_core::{parse_query, PreparedQuery, QueryContext};
-    pub use aiql_engine::{run_live, Engine, EngineConfig, Params, Session};
+    pub use aiql_engine::{Engine, EngineConfig, Params, Session};
     pub use aiql_ingest::{EventBatch, IngestConfig, Ingestor};
     pub use aiql_model::{
         AgentId, Dataset, Entity, EntityId, EntityKind, Event, EventId, OpType, Timestamp, Value,

@@ -1,5 +1,5 @@
 //! Differential testing across independent implementations: the AIQL engine
-//! (both schedulers, single-node and segmented) must agree with the big-join
+//! (both schedulers, single-shard and 4-shard partitioned) must agree with the big-join
 //! SQL baseline and the graph-traversal baseline on every comparable
 //! catalog query.
 
@@ -13,7 +13,7 @@ use aiql_model::Value;
 struct World {
     partitioned: EventStore,
     monolithic: EventStore,
-    segmented: SegmentedStore,
+    sharded: EventStore,
     graph: aiql::graphdb::GraphDb,
 }
 
@@ -29,7 +29,7 @@ fn world() -> World {
     World {
         partitioned: EventStore::ingest(&data, StoreConfig::partitioned()).unwrap(),
         monolithic: EventStore::ingest(&data, StoreConfig::monolithic()).unwrap(),
-        segmented: SegmentedStore::ingest(&data, 4, true).unwrap(),
+        sharded: EventStore::ingest(&data, StoreConfig::partitioned().with_shards(4)).unwrap(),
         graph: neo4j::load_graph(&data),
     }
 }
@@ -65,9 +65,9 @@ fn all_multievent_queries_agree_across_five_systems() {
         );
         assert_eq!(relationship, ff, "{}: schedulers disagree", q.id);
 
-        let seg_engine = Engine::segmented(&w.segmented, EngineConfig::aiql());
+        let seg_engine = Engine::with_config(&w.sharded, EngineConfig::aiql());
         let seg = normalize(seg_engine.run_ctx(&ctx).unwrap().result.rows);
-        assert_eq!(relationship, seg, "{}: segmented engine disagrees", q.id);
+        assert_eq!(relationship, seg, "{}: sharded engine disagrees", q.id);
 
         let (pg, _) = postgres::run(&w.monolithic, &ctx, None).unwrap();
         assert_eq!(
@@ -105,7 +105,7 @@ fn greenplum_gather_agrees_with_postgres() {
             .attacks(true)
             .build()
             .generate();
-        SegmentedStore::ingest(&data, 4, false).unwrap()
+        SegmentedStore::ingest(&data, 4).unwrap()
     };
     for q in catalog::behaviours() {
         if q.kind == QueryKind::Anomaly {

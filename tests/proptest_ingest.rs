@@ -16,7 +16,7 @@
 //!    the same query computes single-threaded on the snapshot with the
 //!    same stamp, and the final state equals the batch oracle.
 
-use aiql::engine::{self, Engine, EngineConfig};
+use aiql::engine::{Engine, EngineConfig, Session};
 use aiql::storage::timesync::ClockSample;
 use aiql::storage::{EventStore, StoreConfig};
 use aiql_datagen::stream::{stream, StreamConfig};
@@ -212,7 +212,7 @@ proptest! {
         for q in tier1_queries() {
             let want = sorted_rows(batch_engine.run(q).unwrap().rows);
             let got = sorted_rows(
-                engine::run_live(&shared, EngineConfig::aiql(), q).unwrap().outcome.result.rows,
+                Session::open(&shared).run(q).unwrap().rows,
             );
             prop_assert_eq!(&got, &want, "query diverged: {}", q);
         }
@@ -245,7 +245,7 @@ proptest! {
             let got_batch = sorted_rows(batch_engine.run(q).unwrap().rows);
             prop_assert_eq!(&got_batch, &want, "columnar batch diverged: {}", q);
             let got_live = sorted_rows(
-                engine::run_live(&live, EngineConfig::aiql(), q).unwrap().outcome.result.rows,
+                Session::open(&live).run(q).unwrap().rows,
             );
             prop_assert_eq!(&got_live, &want, "columnar live diverged: {}", q);
         }
@@ -333,8 +333,8 @@ proptest! {
                 s.spawn(|| {
                     let mut seen = Vec::new();
                     while !done.load(Ordering::Relaxed) {
-                        let lo = engine::run_live(&shared, econfig, q).unwrap();
-                        seen.push((lo.stamp, sorted_rows(lo.outcome.result.rows)));
+                        let lo = Session::with_config(&shared, econfig).prepare(q).unwrap().execute().unwrap();
+                        seen.push((lo.stamp(), sorted_rows(lo.into_result().rows)));
                     }
                     observations.lock().unwrap().push(seen);
                 });
@@ -494,8 +494,8 @@ proptest! {
         let a = stream_ingest(&data, split_a, split_a * 2, seed);
         let b = stream_ingest(&data, split_b, split_b, seed.wrapping_add(1));
         let q = "proc p read file f return p, count(f) as n group by p";
-        let ra = sorted_rows(engine::run_live(&a, EngineConfig::aiql(), q).unwrap().outcome.result.rows);
-        let rb = sorted_rows(engine::run_live(&b, EngineConfig::aiql(), q).unwrap().outcome.result.rows);
+        let ra = sorted_rows(Session::open(&a).run(q).unwrap().rows);
+        let rb = sorted_rows(Session::open(&b).run(q).unwrap().rows);
         prop_assert_eq!(ra, rb);
     }
 }

@@ -1,13 +1,20 @@
 //! Workspace-level observability tests: the telemetry registry under
-//! concurrency, and the trace-span phase tree of a real prepared Query-7
+//! concurrency, the trace-span phase tree of a real prepared Query-7
 //! execution — the paper's complete exfiltration chain — from lex to
-//! score.
+//! score, and the engine funnel instrumenting a statement that bypasses
+//! the session layer.
 
-use aiql::engine::Session;
+use aiql::engine::{Engine, EngineConfig, Session};
 use aiql::storage::{EventStore, SharedStore, StoreConfig};
-use aiql::telemetry::{Histogram, Registry};
+use aiql::telemetry::{slowlog, Histogram, Registry};
 use aiql_model::{AgentId, Dataset, Entity, EntityKind, Event, OpType, Timestamp};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// Serializes the tests here that execute statements: they read deltas of
+/// the process-wide registry and slow-query log, which a statement running
+/// concurrently on another test thread would skew.
+static ENGINE: Mutex<()> = Mutex::new(());
 
 /// The paper's Query 7 (the c5 exfiltration chain), as the examples and
 /// the APT case study run it.
@@ -82,6 +89,7 @@ fn exfiltration_dataset() -> Dataset {
 
 #[test]
 fn query7_phase_tree_covers_compile_and_execute() {
+    let _serial = ENGINE.lock().unwrap_or_else(|e| e.into_inner());
     let store = SharedStore::new(
         EventStore::ingest(&exfiltration_dataset(), StoreConfig::partitioned()).expect("ingest"),
     );
@@ -136,6 +144,51 @@ fn query7_phase_tree_covers_compile_and_execute() {
     );
     let prom = snap.to_prometheus();
     assert!(prom.contains("aiql_engine_execute_micros_count"), "{prom}");
+}
+
+#[test]
+fn plain_run_ctx_goes_through_the_instrumented_funnel() {
+    let _serial = ENGINE.lock().unwrap_or_else(|e| e.into_inner());
+    let store =
+        EventStore::ingest(&exfiltration_dataset(), StoreConfig::partitioned()).expect("ingest");
+    // The event variable is the marker: with no source text, the slow-query
+    // log labels a bare context with its rendering.
+    let ctx =
+        aiql::lang::compile(r#"proc p["%sbblv.exe"] read file f as funnelmarker return p, f"#)
+            .expect("compiles");
+    let count = |name: &str| {
+        aiql::telemetry::global()
+            .snapshot()
+            .histogram(name)
+            .map_or(0, |h| h.count)
+    };
+    let execute_before = count("aiql_engine_execute_micros");
+    let scan_before = count("aiql_engine_scan_micros");
+
+    let log = slowlog::global();
+    let saved = log.threshold_micros();
+    log.set_threshold_micros(0); // everything is slow
+    let ran = Engine::with_config(&store, EngineConfig::aiql()).run_ctx(&ctx);
+    log.set_threshold_micros(saved);
+    assert_eq!(ran.expect("runs").result.rows.len(), 1);
+
+    assert_eq!(
+        count("aiql_engine_execute_micros") - execute_before,
+        1,
+        "one statement, one execute sample"
+    );
+    assert!(
+        count("aiql_engine_scan_micros") > scan_before,
+        "the scan phase reached its histogram"
+    );
+    let entry = log
+        .entries()
+        .into_iter()
+        .rev()
+        .find(|e| e.source.contains("funnelmarker"))
+        .expect("slow execution recorded");
+    assert_eq!(entry.rows, 1);
+    assert!(entry.profile.contains("rows"), "{}", entry.profile);
 }
 
 proptest! {
