@@ -534,13 +534,19 @@ impl Cursor {
 
     /// Pulls up to `n` rows in one batch (fewer at the end of the result).
     pub fn fetch(&mut self, n: usize) -> Vec<Row> {
+        self.fetch_while(n, |_| true)
+    }
+
+    /// Like [`Cursor::fetch`], but stops before the first row `take`
+    /// rejects; that row stays in the cursor for the next fetch.
+    pub fn fetch_while(&mut self, n: usize, mut take: impl FnMut(&Row) -> bool) -> Vec<Row> {
         crate::metrics::metrics().cursor_fetches.inc();
         let mut out = Vec::with_capacity(n.min(self.remaining));
-        for _ in 0..n {
-            match self.next() {
-                Some(r) => out.push(r),
-                None => break,
+        while out.len() < n && self.remaining > 0 {
+            if !self.rows.as_slice().first().is_some_and(&mut take) {
+                break;
             }
+            out.extend(self.next());
         }
         out
     }

@@ -19,7 +19,8 @@ use std::io::Read;
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--hosts N] [--days N] [--events N] \
-         [--workers N] [--once]"
+         [--workers N] [--once]\n  \
+         --workers N  statements executing at once (0 = min(4, cores))"
     );
     std::process::exit(2);
 }

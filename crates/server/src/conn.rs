@@ -1,24 +1,35 @@
-//! Per-connection state machine: frame reassembly, request dispatch,
-//! bounded outbox, and resource cleanup.
+//! One connection, served on its own thread: frame reassembly, request
+//! dispatch, bounded outbox, and resource cleanup.
 //!
-//! A [`Conn`] is owned by exactly one worker thread and pumped in passes:
-//! read whatever bytes arrived (unless the outbox is over its cap —
-//! back-pressure), process complete frames into responses, flush the
-//! outbox as far as the socket accepts. All socket I/O is nonblocking;
-//! `WouldBlock` just ends the phase. Sessions, prepared statements, and
-//! cursors all live on the connection, so a dead socket can never leak
-//! them: [`Conn::cleanup`] returns every quota slot and gauge increment
-//! the connection ever took.
+//! [`Conn::run`] loops over blocking socket calls: read, serve every
+//! complete frame, flush. A full outbox is flushed before anything more
+//! is served or read, so TCP flow control pushes back on a client that
+//! does not read. Sessions, prepared statements, and cursors all live on
+//! the connection, so a dead socket can never leak them:
+//! [`Conn::cleanup`] returns every quota slot and gauge increment the
+//! connection ever took.
 
 use crate::metrics::metrics;
-use crate::proto::{ErrorCode, FrameBuffer, Request, Response, PROTO_VERSION};
+use crate::proto::{
+    page_row_len, ErrorCode, FrameBuffer, Request, Response, FRAME_HEADER, MAX_FRAME, PAGE_HEADER,
+    PROTO_VERSION,
+};
 use crate::Shared;
 use aiql_engine::{Cursor, EngineError, Params, Session};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
+
+/// Socket read and write timeout: the only time a connection thread wakes
+/// without I/O, to reap idle sessions and notice drain.
+pub(crate) const TICK: Duration = Duration::from_millis(100);
+
+/// Read timeout of a drain's final read. The socket stays blocking, so
+/// "bytes the client already sent" means bytes readable within this.
+const DRAIN_READ: Duration = Duration::from_millis(1);
 
 /// One open session on this connection.
 struct ServerSession {
@@ -39,69 +50,150 @@ struct ServerCursor {
     deadline: Option<Instant>,
 }
 
-/// What a pump pass concluded about the connection.
-pub(crate) struct Pump {
-    /// Any bytes moved or frames processed (workers sleep when no
-    /// connection makes progress).
-    pub progress: bool,
-    /// The connection is finished and must be cleaned up.
-    pub close: bool,
-}
-
 pub(crate) struct Conn {
     stream: TcpStream,
     fb: FrameBuffer,
-    /// Outbox: encoded frames waiting for the socket, `out[out_at..]`
-    /// pending. Bounded by `ServerConfig::outbox_limit` via back-pressure.
+    /// Encoded responses not yet written; flushed whenever it reaches
+    /// `ServerConfig::outbox_limit` bytes (back-pressure).
     out: Vec<u8>,
-    out_at: usize,
     /// Tenant name once `Hello` succeeded.
     tenant: Option<String>,
     sessions: HashMap<u64, ServerSession>,
     cursors: HashMap<u64, ServerCursor>,
     /// Flush what's queued, then close (protocol violation or peer EOF).
     closing: bool,
-    /// Currently stalled on a full outbox (edge-counted).
-    stalled: bool,
-    /// Drain mode has taken its one final read of the socket: requests
-    /// fully written before shutdown sit in the kernel buffer and are
-    /// slurped and served; anything later is not.
-    drain_slurped: bool,
 }
 
 impl Conn {
-    pub fn new(stream: TcpStream, shared: &Shared) -> Conn {
-        metrics().connections_opened.inc();
-        metrics().active_connections.add(1);
-        shared
-            .counts
-            .active_connections
-            .fetch_add(1, Ordering::Relaxed);
-        Conn {
+    pub fn new(stream: TcpStream, shared: &Shared) -> io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(TICK))?;
+        stream.set_write_timeout(Some(TICK))?;
+        shared.connection_opened();
+        Ok(Conn {
             stream,
             fb: FrameBuffer::new(),
             out: Vec::new(),
-            out_at: 0,
             tenant: None,
             sessions: HashMap::new(),
             cursors: HashMap::new(),
             closing: false,
-            stalled: false,
-            drain_slurped: false,
+        })
+    }
+
+    /// Serves the connection until the peer hangs up, a protocol
+    /// violation or socket error ends it, or the server drains; then
+    /// returns everything it held.
+    pub fn run(mut self, shared: &Shared) {
+        let mut buf = vec![0u8; 64 * 1024];
+        while self.serve_buffered(shared).is_ok() && !self.closing {
+            if shared.draining() {
+                let _ = self.drain(shared, &mut buf);
+                break;
+            }
+            if self.read_some(&mut buf).is_err() || self.tick(shared).is_err() {
+                break;
+            }
         }
+        self.cleanup(shared);
     }
 
-    fn outbox_len(&self) -> usize {
-        self.out.len() - self.out_at
+    /// One blocking read into the frame buffer; EOF marks the connection
+    /// closing, a timeout just returns.
+    fn read_some(&mut self, buf: &mut [u8]) -> io::Result<()> {
+        match self.stream.read(buf) {
+            Ok(0) => self.closing = true,
+            Ok(n) => {
+                metrics().bytes_in.add(n as u64);
+                self.fb.extend(&buf[..n]);
+            }
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
     }
 
+    /// Serves every complete buffered frame, then flushes. A full outbox
+    /// is flushed before the next frame is served.
+    fn serve_buffered(&mut self, shared: &Shared) -> io::Result<()> {
+        while !self.closing {
+            let req = match self.fb.next_frame() {
+                Ok(Some(payload)) => Request::decode(&payload).map_err(|e| e.to_string()),
+                Ok(None) => break,
+                Err(e) => Err(e.to_string()),
+            };
+            match req {
+                Ok(req) => self.handle_request(shared, req),
+                Err(message) => {
+                    // Corrupt framing or an unintelligible payload: the
+                    // stream can no longer be trusted, so answer and hang up.
+                    self.protocol_violation(shared, message);
+                    self.closing = true;
+                }
+            }
+            if self.out.len() >= shared.config.outbox_limit {
+                self.flush(shared)?;
+            }
+        }
+        self.flush(shared)
+    }
+
+    /// Writes the whole outbox. Each write that times out (the client is
+    /// not reading) runs a tick; the first one also counts a
+    /// back-pressure stall.
+    fn flush(&mut self, shared: &Shared) -> io::Result<()> {
+        let mut written = 0;
+        let mut stalled = false;
+        while written < self.out.len() {
+            let pending = &self.out[written..];
+            match aiql_fault::point("server.conn.write").and_then(|_| self.stream.write(pending)) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => written += n,
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {
+                    if !std::mem::replace(&mut stalled, true) {
+                        shared.backpressure_stall();
+                    }
+                    self.tick(shared)?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        Ok(())
+    }
+
+    /// Housekeeping between blocking calls, at least once per [`TICK`]:
+    /// reaps idle sessions, and fails once the drain deadline has passed.
+    fn tick(&mut self, shared: &Shared) -> io::Result<()> {
+        let now = Instant::now();
+        self.reap_idle(shared, now);
+        if shared.drain_by.get().is_some_and(|by| now > *by) {
+            return Err(TimedOut.into());
+        }
+        Ok(())
+    }
+
+    /// Drain: one final read picks up requests the client sent before
+    /// shutdown; they are served (`OpenSession` answers `ShuttingDown`)
+    /// and flushed. Anything later, or a frame left incomplete, is not.
+    fn drain(&mut self, shared: &Shared, buf: &mut [u8]) -> io::Result<()> {
+        self.stream.set_read_timeout(Some(DRAIN_READ))?;
+        self.read_some(buf)?;
+        self.serve_buffered(shared)
+    }
+
+    /// Queues one response; one the client would reject (it fails to
+    /// encode or outgrows [`MAX_FRAME`]) is answered `Internal` instead.
     fn queue(&mut self, resp: &Response) {
-        // Compact the consumed prefix before growing.
-        if self.out_at > 0 {
-            self.out.drain(..self.out_at);
-            self.out_at = 0;
-        }
-        let frame = resp.to_frame().expect("responses always encode");
+        let frame = match resp.to_frame() {
+            Ok(frame) if frame.len() - FRAME_HEADER <= MAX_FRAME as usize => frame,
+            _ => Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("response does not fit one {MAX_FRAME}-byte frame"),
+            }
+            .to_frame()
+            .unwrap_or_default(),
+        };
         metrics().bytes_out.add(frame.len() as u64);
         self.out.extend_from_slice(&frame);
     }
@@ -114,126 +206,11 @@ impl Conn {
     }
 
     fn protocol_violation(&mut self, shared: &Shared, message: String) {
-        metrics().protocol_errors.inc();
-        shared
-            .counts
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
+        shared.protocol_error();
         self.queue_error(ErrorCode::Protocol, message);
     }
 
-    /// One scheduling pass: read → process → flush.
-    pub fn pump(&mut self, shared: &Shared, draining: bool) -> Pump {
-        let mut progress = false;
-
-        // Read phase. Skipped while closing and while the outbox is over
-        // its cap — the kernel's receive buffer then pushes back on the
-        // client (back-pressure). Drain mode reads exactly once more, to
-        // pick up requests fully sent before shutdown, then never again.
-        if !self.closing && (!draining || !std::mem::replace(&mut self.drain_slurped, true)) {
-            if self.outbox_len() >= shared.config.outbox_limit {
-                if !self.stalled {
-                    self.stalled = true;
-                    metrics().backpressure_stalls.inc();
-                    shared
-                        .counts
-                        .backpressure_stalls
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                self.stalled = false;
-                let mut buf = [0u8; 64 * 1024];
-                loop {
-                    match self.stream.read(&mut buf) {
-                        Ok(0) => {
-                            self.closing = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            metrics().bytes_in.add(n as u64);
-                            self.fb.extend(&buf[..n]);
-                            progress = true;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            return Pump {
-                                progress,
-                                close: true,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Process phase: complete frames become responses until the outbox
-        // fills. While draining, requests already received are still served
-        // (that's the "drain in-flight statements" guarantee).
-        while !self.closing && self.outbox_len() < shared.config.outbox_limit {
-            match self.fb.next_frame() {
-                Ok(Some(payload)) => {
-                    progress = true;
-                    self.handle_frame(shared, draining, &payload);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Framing-level corruption: the stream position can no
-                    // longer be trusted, so answer and hang up.
-                    self.protocol_violation(shared, e.to_string());
-                    self.closing = true;
-                }
-            }
-        }
-
-        // Flush phase.
-        while self.outbox_len() > 0 {
-            let pending = &self.out[self.out_at..];
-            let wrote =
-                aiql_fault::point("server.conn.write").and_then(|_| self.stream.write(pending));
-            match wrote {
-                Ok(0) => {
-                    return Pump {
-                        progress,
-                        close: true,
-                    }
-                }
-                Ok(n) => {
-                    self.out_at += n;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    return Pump {
-                        progress,
-                        close: true,
-                    }
-                }
-            }
-        }
-
-        // A closing connection dies once its queued responses are out; a
-        // drained one dies once its final slurp has been fully processed
-        // and flushed (any leftover buffered bytes are an incomplete
-        // frame that can never complete).
-        let close = self.outbox_len() == 0 && (self.closing || (draining && self.drain_slurped));
-        Pump { progress, close }
-    }
-
-    fn handle_frame(&mut self, shared: &Shared, draining: bool, payload: &[u8]) {
-        match Request::decode(payload) {
-            Ok(req) => self.handle_request(shared, draining, req),
-            Err(e) => {
-                // Valid framing, unintelligible payload (unknown opcode,
-                // malformed body): answer typed, then hang up.
-                self.protocol_violation(shared, e.to_string());
-                self.closing = true;
-            }
-        }
-    }
-
-    fn handle_request(&mut self, shared: &Shared, draining: bool, req: Request) {
+    fn handle_request(&mut self, shared: &Shared, req: Request) {
         // Everything but the handshake itself requires a completed Hello.
         if self.tenant.is_none() && !matches!(req, Request::Hello { .. }) {
             self.protocol_violation(
@@ -264,7 +241,7 @@ impl Conn {
                     });
                 }
             }
-            Request::OpenSession => self.open_session(shared, draining),
+            Request::OpenSession => self.open_session(shared),
             Request::Prepare { session, source } => self.prepare(shared, session, &source),
             Request::Execute {
                 session,
@@ -292,9 +269,9 @@ impl Conn {
         }
     }
 
-    fn open_session(&mut self, shared: &Shared, draining: bool) {
+    fn open_session(&mut self, shared: &Shared) {
         let tenant = self.tenant.clone().expect("greeted");
-        if draining {
+        if shared.draining() {
             self.queue_error(ErrorCode::ShuttingDown, "server is draining");
             return;
         }
@@ -302,11 +279,7 @@ impl Conn {
             .tenants
             .try_open_session(&tenant, shared.config.max_sessions_per_tenant)
         {
-            metrics().quota_rejections.inc();
-            shared
-                .counts
-                .quota_rejections
-                .fetch_add(1, Ordering::Relaxed);
+            shared.quota_rejected();
             self.queue_error(
                 ErrorCode::QuotaExceeded,
                 format!(
@@ -327,16 +300,7 @@ impl Conn {
                 last_used: Instant::now(),
             },
         );
-        metrics().sessions_opened.inc();
-        metrics().active_sessions.add(1);
-        shared
-            .counts
-            .sessions_opened
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counts
-            .active_sessions
-            .fetch_add(1, Ordering::Relaxed);
+        shared.session_opened();
         self.queue(&Response::SessionOpened { session: id });
     }
 
@@ -383,11 +347,7 @@ impl Conn {
             .tenants
             .try_begin_statement(&tenant, shared.config.max_concurrent_statements)
         {
-            metrics().quota_rejections.inc();
-            shared
-                .counts
-                .quota_rejections
-                .fetch_add(1, Ordering::Relaxed);
+            shared.quota_rejected();
             self.queue_error(
                 ErrorCode::QuotaExceeded,
                 format!(
@@ -401,30 +361,29 @@ impl Conn {
         // Effective budget: the server cap, tightened by the client's own
         // request if any (a client can never widen the server's cap; a
         // zero cap means the server imposes none).
-        let cap = shared.config.statement_timeout;
-        let requested = (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms));
-        let budget = match (cap.is_zero(), requested) {
-            (false, Some(r)) => Some(cap.min(r)),
-            (false, None) => Some(cap),
-            (true, r) => r,
-        };
+        let budget = [
+            shared.config.statement_timeout,
+            Duration::from_millis(timeout_ms),
+        ]
+        .into_iter()
+        .filter(|d| !d.is_zero())
+        .min();
         engine.set_statement_timeout(budget);
 
+        // Only the engine run holds a statement permit: waiting for one
+        // blocks this connection alone.
+        let permit = shared.statement_permit();
         let started = Instant::now();
         let ran = prepared
             .bind(params_from_wire(params))
             .and_then(|b| b.execute());
+        drop(permit);
         shared.tenants.end_statement(&tenant);
 
         match ran {
             Ok(cursor) => {
                 let elapsed_micros = cursor.elapsed().as_micros() as u64;
-                metrics().executes.inc();
-                metrics()
-                    .execute_micros
-                    .record(started.elapsed().as_micros() as u64);
-                crate::metrics::tenant_executes(&tenant).inc();
-                shared.counts.executes.fetch_add(1, Ordering::Relaxed);
+                shared.executed(&tenant, started.elapsed().as_micros() as u64);
                 let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                 let columns = cursor.columns().to_vec();
                 let rows_total = cursor.remaining() as u64;
@@ -441,8 +400,7 @@ impl Conn {
                     .expect("session checked above")
                     .cursor_ids
                     .push(id);
-                metrics().active_cursors.add(1);
-                shared.counts.active_cursors.fetch_add(1, Ordering::Relaxed);
+                shared.cursor_opened();
                 self.queue(&Response::Executed {
                     cursor: id,
                     columns,
@@ -451,8 +409,7 @@ impl Conn {
                 });
             }
             Err(EngineError::Timeout) => {
-                metrics().timeouts.inc();
-                shared.counts.timeouts.fetch_add(1, Ordering::Relaxed);
+                shared.timed_out();
                 self.queue_error(
                     ErrorCode::Timeout,
                     "statement exceeded its wall-clock budget",
@@ -472,16 +429,29 @@ impl Conn {
         // Page-boundary cancellation: the statement's budget covers its
         // whole cursor lifetime, checked cooperatively per page.
         if sc.deadline.is_some_and(|d| Instant::now() > d) {
-            metrics().timeouts.inc();
-            shared.counts.timeouts.fetch_add(1, Ordering::Relaxed);
+            shared.timed_out();
             self.close_cursor(shared, cursor);
             self.queue_error(ErrorCode::Timeout, "cursor exceeded its statement budget");
             return;
         }
         let started = Instant::now();
         let n = max_rows.clamp(1, shared.config.page_rows_max) as usize;
-        let rows = sc.cursor.fetch(n);
+        // A page must fit one frame: stop before the row that would
+        // overflow it, leaving that row for the next fetch.
+        let mut bytes = PAGE_HEADER;
+        let rows = sc.cursor.fetch_while(n, |row| {
+            bytes += page_row_len(row);
+            bytes <= MAX_FRAME as usize
+        });
         let done = sc.cursor.remaining() == 0;
+        if rows.is_empty() && !done {
+            self.close_cursor(shared, cursor);
+            self.queue_error(
+                ErrorCode::Internal,
+                format!("cursor {cursor}: a row does not fit one {MAX_FRAME}-byte frame"),
+            );
+            return;
+        }
         metrics().fetches.inc();
         metrics()
             .fetch_micros
@@ -503,8 +473,7 @@ impl Conn {
         if let Some(sess) = self.sessions.get_mut(&sc.session) {
             sess.cursor_ids.retain(|c| *c != id);
         }
-        metrics().active_cursors.add(-1);
-        shared.counts.active_cursors.fetch_sub(1, Ordering::Relaxed);
+        shared.cursor_closed();
         true
     }
 
@@ -514,24 +483,18 @@ impl Conn {
         let sess = self.sessions.remove(&id).expect("caller checked");
         for c in sess.cursor_ids {
             if self.cursors.remove(&c).is_some() {
-                metrics().active_cursors.add(-1);
-                shared.counts.active_cursors.fetch_sub(1, Ordering::Relaxed);
+                shared.cursor_closed();
             }
         }
         shared.tenants.close_session(&sess.tenant);
-        metrics().active_sessions.add(-1);
-        shared
-            .counts
-            .active_sessions
-            .fetch_sub(1, Ordering::Relaxed);
+        shared.session_closed();
     }
 
-    /// Reaps sessions idle past the configured horizon. Returns how many
-    /// were reaped.
-    pub fn reap_idle(&mut self, shared: &Shared, now: Instant) -> usize {
+    /// Reaps sessions idle past the configured horizon.
+    fn reap_idle(&mut self, shared: &Shared, now: Instant) {
         let horizon = shared.config.idle_session_timeout;
         if horizon.is_zero() {
-            return 0;
+            return;
         }
         let idle: Vec<u64> = self
             .sessions
@@ -539,34 +502,22 @@ impl Conn {
             .filter(|(_, s)| now.duration_since(s.last_used) > horizon)
             .map(|(id, _)| *id)
             .collect();
-        let n = idle.len();
         for id in idle {
             self.close_session(shared, id);
             metrics().idle_reaped.inc();
         }
-        n
     }
 
     /// Returns every resource the connection holds: called exactly once,
-    /// when the worker drops the connection for any reason (EOF, error,
-    /// protocol violation, drain, fault injection).
-    pub fn cleanup(&mut self, shared: &Shared) {
+    /// when the connection ends for any reason (EOF, error, protocol
+    /// violation, drain, fault injection).
+    fn cleanup(&mut self, shared: &Shared) {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         for id in ids {
             self.close_session(shared, id);
         }
-        // Cursors whose session was already gone would otherwise leak
-        // invisibly.
-        for _ in self.cursors.drain() {
-            metrics().active_cursors.add(-1);
-            shared.counts.active_cursors.fetch_sub(1, Ordering::Relaxed);
-        }
-        metrics().active_connections.add(-1);
-        metrics().connections_closed.inc();
-        shared
-            .counts
-            .active_connections
-            .fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(self.cursors.is_empty(), "every cursor has a session");
+        shared.connection_closed();
     }
 }
 
@@ -582,37 +533,27 @@ fn params_from_wire(pairs: Vec<(String, aiql_core::ast::Lit)>) -> Params {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Counts, ServerConfig, Shared};
+    use crate::{ServerConfig, Shared};
     use aiql_storage::{EventStore, SharedStore, StoreConfig};
     use std::net::TcpListener;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-    use std::sync::Arc;
 
     /// A connection pair with the server side wrapped in a [`Conn`],
-    /// pumped by the test itself — interleavings (like "request arrives,
-    /// then drain begins") become deterministic.
-    fn harness() -> (Arc<Shared>, Conn, TcpStream) {
+    /// driven step by step by the test itself — interleavings (like
+    /// "request arrives, then drain begins") become deterministic.
+    fn harness() -> (Shared, Conn, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         client.set_nodelay(true).unwrap();
         let (served, _) = listener.accept().unwrap();
-        served.set_nodelay(true).unwrap();
-        served.set_nonblocking(true).unwrap();
-        let shared = Arc::new(Shared {
-            store: SharedStore::new(EventStore::empty(StoreConfig::partitioned()).unwrap()),
-            config: ServerConfig::default(),
-            draining: AtomicBool::new(false),
-            tenants: crate::tenant::TenantGate::new(),
-            next_id: AtomicU64::new(1),
-            counts: Counts::default(),
-        });
-        let conn = Conn::new(served, &shared);
+        let store = SharedStore::new(EventStore::empty(StoreConfig::partitioned()).unwrap());
+        let shared = Shared::new(&store, ServerConfig::default());
+        let conn = Conn::new(served, &shared).unwrap();
         (shared, conn, client)
     }
 
     fn response(client: &mut TcpStream) -> Response {
         client
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let mut fb = FrameBuffer::new();
         let mut buf = [0u8; 4096];
@@ -629,6 +570,7 @@ mod tests {
     #[test]
     fn draining_refuses_new_sessions_with_a_typed_frame() {
         let (shared, mut conn, mut client) = harness();
+        let mut buf = vec![0u8; 4096];
         client
             .write_all(
                 &Request::Hello {
@@ -639,16 +581,21 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        conn.pump(&shared, false);
+        conn.read_some(&mut buf).unwrap();
+        conn.serve_buffered(&shared).unwrap();
         assert!(matches!(response(&mut client), Response::HelloOk { .. }));
 
-        // The OpenSession is fully delivered (loopback) before the drain
-        // pass slurps it: it must be answered ShuttingDown, not dropped,
-        // and the connection must then finish.
+        // The OpenSession is fully delivered (loopback) before drain
+        // begins; the drain's final read picks it up, and it must be
+        // answered ShuttingDown, not dropped.
         client
             .write_all(&Request::OpenSession.to_frame().unwrap())
             .unwrap();
-        let pump = conn.pump(&shared, true);
+        shared
+            .drain_by
+            .set(Instant::now() + Duration::from_secs(5))
+            .unwrap();
+        conn.drain(&shared, &mut buf).unwrap();
         assert!(matches!(
             response(&mut client),
             Response::Error {
@@ -656,7 +603,6 @@ mod tests {
                 ..
             }
         ));
-        assert!(pump.close, "nothing left to drain after the answer");
         conn.cleanup(&shared);
         assert_eq!(shared.counts.active_sessions.load(Ordering::Relaxed), 0);
         assert_eq!(shared.counts.active_connections.load(Ordering::Relaxed), 0);

@@ -9,15 +9,13 @@
 //!
 //! # Concurrency model
 //!
-//! Std-only (the build is offline; no tokio/mio): one acceptor thread
-//! runs a nonblocking `accept` loop and deals connections round-robin to
-//! a small, fixed pool of worker threads; each worker owns its
-//! connections outright and multiplexes them with nonblocking reads and
-//! writes. Statements execute inline on the worker — the engine
-//! materializes results fully and every statement carries a wall-clock
-//! budget, so one statement can only occupy its worker for a bounded
-//! slice. See docs/ARCHITECTURE.md (“Serving layer”) for why this beats
-//! a thread-per-connection or hand-rolled-epoll design here.
+//! Std-only (the build is offline; no tokio/mio): an acceptor thread
+//! blocks in `accept` and serves each connection on its own thread with
+//! blocking I/O. A statement runs on its connection's thread, so it
+//! stalls nobody else's pings, fetches or prepares; only the engine run
+//! holds one of `ServerConfig::workers` statement permits, the bound on
+//! statements executing at once. See docs/ARCHITECTURE.md (“Serving
+//! layer”) for why this beats a nonblocking multiplexer here.
 //!
 //! # Tenancy and robustness
 //!
@@ -25,9 +23,10 @@
 //! typed `QuotaExceeded` frames (never queue, never hang); statement
 //! timeouts cancel cooperatively inside the engine and again at every
 //! cursor-page boundary; slow consumers get back-pressure (a bounded
-//! per-connection outbox — when full, the server stops reading from that
-//! socket); idle sessions are reaped; shutdown drains in-flight requests
-//! before the workers exit. Everything is observable through
+//! per-connection outbox — when full, the server flushes it with
+//! blocking writes before it reads that socket again); idle sessions are
+//! reaped; shutdown drains in-flight requests before the connection
+//! threads exit. Everything is observable through
 //! `aiql_telemetry` (`aiql_server_*`, see docs/METRICS.md) and, for
 //! deterministic tests, through the per-handle [`ServerStats`].
 //!
@@ -50,22 +49,22 @@ pub(crate) mod metrics;
 pub mod proto;
 mod tenant;
 
-use conn::Conn;
-use std::collections::VecDeque;
+use metrics::metrics;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use aiql_storage::SharedStore;
 
-/// How a [`Server`] behaves: pool size, quotas, budgets, limits.
+/// How a [`Server`] behaves: statement concurrency, quotas, budgets,
+/// limits.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads multiplexing connections. `0` = auto:
-    /// `min(4, available_parallelism)`.
+    /// Statements executing at once across the server; other requests
+    /// never wait for one. `0` = auto: `min(4, available_parallelism)`.
     pub workers: usize,
     /// Open sessions one tenant may hold across all its connections.
     pub max_sessions_per_tenant: usize,
@@ -76,12 +75,12 @@ pub struct ServerConfig {
     pub statement_timeout: Duration,
     /// Sessions untouched this long are reaped (zero disables reaping).
     pub idle_session_timeout: Duration,
-    /// Outbox bytes per connection before the server stops reading new
-    /// requests from it (back-pressure on slow consumers).
+    /// Outbox bytes per connection before the server flushes it, reading
+    /// no new requests meanwhile (back-pressure on slow consumers).
     pub outbox_limit: usize,
     /// Upper bound on rows per `FetchPage` regardless of the request.
     pub page_rows_max: u32,
-    /// On shutdown, how long workers may spend draining buffered
+    /// On shutdown, how long connections may spend draining buffered
     /// requests and flushing outboxes before closing forcibly.
     pub drain_timeout: Duration,
 }
@@ -98,17 +97,6 @@ impl Default for ServerConfig {
             page_rows_max: 4096,
             drain_timeout: Duration::from_secs(5),
         }
-    }
-}
-
-impl ServerConfig {
-    fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(4)
     }
 }
 
@@ -143,16 +131,138 @@ pub struct ServerStats {
     pub backpressure_stalls: u64,
 }
 
-/// State shared by the acceptor, the workers, and the handle.
+/// State shared by the acceptor, the connection threads, and the handle.
 pub(crate) struct Shared {
     pub store: SharedStore,
     pub config: ServerConfig,
-    /// Set once by shutdown: stop accepting, drain, exit.
-    pub draining: AtomicBool,
+    /// Set once by shutdown to when the drain must be over: stop
+    /// accepting, serve what was received, exit.
+    pub drain_by: OnceLock<Instant>,
     pub tenants: tenant::TenantGate,
     /// Session / statement / cursor id source (ids are server-unique).
     pub next_id: AtomicU64,
     pub counts: Counts,
+    /// Free statement permits, `ServerConfig::workers` in all.
+    free_permits: Mutex<usize>,
+    permit_freed: Condvar,
+}
+
+/// A statement permit from [`Shared::statement_permit`]; dropping it
+/// frees the slot.
+pub(crate) struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        if let Ok(mut free) = self.0.free_permits.lock() {
+            *free += 1;
+        }
+        self.0.permit_freed.notify_one();
+    }
+}
+
+impl Shared {
+    fn new(store: &SharedStore, config: ServerConfig) -> Shared {
+        let permits = match config.workers {
+            0 => thread::available_parallelism().map_or(1, |p| p.get().min(4)),
+            n => n,
+        };
+        Shared {
+            store: store.clone(),
+            config,
+            drain_by: OnceLock::new(),
+            tenants: tenant::TenantGate::new(),
+            next_id: AtomicU64::new(1),
+            counts: Counts::default(),
+            free_permits: Mutex::new(permits),
+            permit_freed: Condvar::new(),
+        }
+    }
+
+    /// Shutdown has begun.
+    pub fn draining(&self) -> bool {
+        self.drain_by.get().is_some()
+    }
+
+    /// Blocks until fewer than `ServerConfig::workers` statements are
+    /// executing, then holds a slot until the permit drops.
+    pub fn statement_permit(&self) -> Permit<'_> {
+        let free = self.free_permits.lock().expect("permits poisoned");
+        *self
+            .permit_freed
+            .wait_while(free, |free| *free == 0)
+            .expect("permits poisoned") -= 1;
+        Permit(self)
+    }
+
+    // Each server event is recorded here once, into both the global
+    // registry and this instance's `Counts`.
+
+    pub fn connection_opened(&self) {
+        metrics().connections_opened.inc();
+        metrics().active_connections.add(1);
+        self.counts
+            .active_connections
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn connection_closed(&self) {
+        metrics().connections_closed.inc();
+        metrics().active_connections.add(-1);
+        self.counts
+            .active_connections
+            .fetch_sub(1, Ordering::Relaxed);
+    }
+
+    pub fn session_opened(&self) {
+        metrics().sessions_opened.inc();
+        metrics().active_sessions.add(1);
+        self.counts.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        self.counts.active_sessions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn session_closed(&self) {
+        metrics().active_sessions.add(-1);
+        self.counts.active_sessions.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    pub fn cursor_opened(&self) {
+        metrics().active_cursors.add(1);
+        self.counts.active_cursors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn cursor_closed(&self) {
+        metrics().active_cursors.add(-1);
+        self.counts.active_cursors.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    pub fn executed(&self, tenant: &str, micros: u64) {
+        metrics().executes.inc();
+        metrics().execute_micros.record(micros);
+        metrics::tenant_executes(tenant).inc();
+        self.counts.executes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn quota_rejected(&self) {
+        metrics().quota_rejections.inc();
+        self.counts.quota_rejections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn timed_out(&self) {
+        metrics().timeouts.inc();
+        self.counts.timeouts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn protocol_error(&self) {
+        metrics().protocol_errors.inc();
+        self.counts.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn backpressure_stall(&self) {
+        metrics().backpressure_stalls.inc();
+        self.counts
+            .backpressure_stalls
+            .fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// The server: spawn with [`Server::spawn`], control through the
@@ -161,8 +271,7 @@ pub struct Server;
 
 impl Server {
     /// Binds `127.0.0.1:0` (an ephemeral loopback port) and starts the
-    /// acceptor and worker threads. See [`Server::bind`] to choose the
-    /// address.
+    /// acceptor thread. See [`Server::bind`] to choose the address.
     pub fn spawn(store: &SharedStore, config: ServerConfig) -> io::Result<ServerHandle> {
         Server::bind(store, config, "127.0.0.1:0")
     }
@@ -174,144 +283,52 @@ impl Server {
         addr: impl ToSocketAddrs,
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            store: store.clone(),
-            config,
-            draining: AtomicBool::new(false),
-            tenants: tenant::TenantGate::new(),
-            next_id: AtomicU64::new(1),
-            counts: Counts::default(),
-        });
-
-        let workers = config.effective_workers();
-        let mut handles = Vec::with_capacity(workers + 1);
-        let mut senders = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            senders.push(tx);
+        let shared = Arc::new(Shared::new(store, config));
+        let acceptor = {
             let shared = shared.clone();
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("aiql-serve-w{w}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-                    .expect("spawn worker"),
-            );
-        }
-
-        let shared_acc = shared.clone();
-        handles.push(
             thread::Builder::new()
                 .name("aiql-serve-accept".to_string())
-                .spawn(move || accept_loop(&shared_acc, &listener, &senders))
-                .expect("spawn acceptor"),
-        );
-
+                .spawn(move || accept_loop(&shared, &listener))?
+        };
         Ok(ServerHandle {
             addr: local,
             shared,
-            threads: Mutex::new(handles),
+            acceptor: Mutex::new(Some(acceptor)),
         })
     }
 }
 
-/// Accepts connections until shutdown, dealing them round-robin to the
-/// workers. Dropping the senders on exit tells every worker no more
-/// connections are coming.
-fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<TcpStream>]) {
-    let mut next = 0usize;
-    while !shared.draining.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                // A worker only disappears at shutdown; a failed send just
-                // drops the connection, which is the right drain behavior.
-                let _ = senders[next % senders.len()].send(stream);
-                next += 1;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(Duration::from_millis(5)),
+/// Accepts connections until shutdown, serving each on its own thread.
+/// Returns the handles of the connection threads still running, for
+/// shutdown to join.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    for (n, stream) in listener.incoming().enumerate() {
+        // Shutdown's wake-up connection, or a late arrival: closed
+        // unserved.
+        if shared.draining() {
+            break;
         }
+        let Ok(stream) = stream else {
+            // Out of descriptors, most likely: wait a tick for
+            // connections to close instead of spinning on the error.
+            thread::park_timeout(conn::TICK);
+            continue;
+        };
+        conns.retain(|c| !c.is_finished());
+        let shared = shared.clone();
+        let spawned = thread::Builder::new()
+            .name(format!("aiql-serve-c{n}"))
+            .spawn(move || {
+                if let Ok(conn) = conn::Conn::new(stream, &shared) {
+                    conn.run(&shared);
+                }
+            });
+        // A failed spawn drops the stream, closing the connection.
+        conns.extend(spawned.ok());
     }
-}
-
-/// Multiplexes this worker's connections until shutdown drains them.
-fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>) {
-    let mut conns: VecDeque<Conn> = VecDeque::new();
-    let mut inbox_open = true;
-    let mut last_reap = Instant::now();
-    let mut drain_deadline: Option<Instant> = None;
-
-    loop {
-        let draining = shared.draining.load(Ordering::Acquire);
-        if draining && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + shared.config.drain_timeout);
-        }
-        let mut progress = false;
-
-        // Adopt newly accepted connections.
-        while inbox_open {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    // During drain, late arrivals are dropped unserved.
-                    if !draining {
-                        conns.push_back(Conn::new(stream, shared));
-                        progress = true;
-                    }
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    inbox_open = false;
-                    break;
-                }
-            }
-        }
-
-        // Pump every connection once; drop the finished ones.
-        let force_close = drain_deadline.is_some_and(|d| Instant::now() > d);
-        for _ in 0..conns.len() {
-            let mut c = conns.pop_front().expect("len-bounded");
-            let pump = c.pump(shared, draining);
-            progress |= pump.progress;
-            if pump.close || force_close {
-                c.cleanup(shared);
-            } else {
-                conns.push_back(c);
-            }
-        }
-
-        // Periodic idle-session reaping.
-        let now = Instant::now();
-        if now.duration_since(last_reap) > Duration::from_millis(100) {
-            last_reap = now;
-            for c in conns.iter_mut() {
-                c.reap_idle(shared, now);
-            }
-        }
-
-        if draining && conns.is_empty() {
-            // Drain any connections still queued so their sockets close.
-            while let Ok(stream) = rx.try_recv() {
-                drop(stream);
-            }
-            return;
-        }
-
-        if progress {
-            // Stay hot but let peers (and, on a single-core host, the
-            // clients themselves) run.
-            thread::yield_now();
-        } else {
-            thread::sleep(Duration::from_micros(200));
-        }
-    }
+    conns
 }
 
 /// Owner handle for a running server: address, live stats, shutdown.
@@ -321,7 +338,9 @@ fn worker_loop(shared: &Shared, rx: &mpsc::Receiver<TcpStream>) {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// The acceptor until shutdown joins it; it hands back the
+    /// connection threads.
+    acceptor: Mutex<Option<JoinHandle<Vec<JoinHandle<()>>>>>,
 }
 
 impl ServerHandle {
@@ -350,10 +369,26 @@ impl ServerHandle {
     /// Graceful shutdown: stop accepting, serve every request already
     /// received, flush outboxes, then join all threads. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::Release);
-        let mut threads = self.threads.lock().expect("server threads poisoned");
-        for t in threads.drain(..) {
-            let _ = t.join();
+        let mut acceptor = self.acceptor.lock().expect("server threads poisoned");
+        let Some(accept) = acceptor.take() else {
+            return;
+        };
+        let _ = self
+            .shared
+            .drain_by
+            .set(Instant::now() + self.shared.config.drain_timeout);
+        // Wake the blocking accept with one connection it will drop.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect(wake);
+        for conn in accept.join().unwrap_or_default() {
+            let _ = conn.join();
         }
     }
 }

@@ -45,8 +45,8 @@ pub(crate) struct ServerMetrics {
     /// frame, unknown opcode) plus wrong-state requests answered with a
     /// typed error.
     pub protocol_errors: Counter,
-    /// Read-side stalls: passes where a connection's outbox was full so
-    /// the server stopped reading new requests from it.
+    /// Outbox flushes where a socket write timed out because the client
+    /// was not reading (at most one per flush).
     pub backpressure_stalls: Counter,
     /// Sessions reaped for idleness.
     pub idle_reaped: Counter,

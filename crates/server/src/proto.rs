@@ -88,7 +88,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Incremental frame reassembly over a nonblocking byte stream: feed
+/// Incremental frame reassembly over a byte stream read in chunks: feed
 /// whatever bytes arrived with [`FrameBuffer::extend`], pop complete
 /// payloads with [`FrameBuffer::next_frame`].
 #[derive(Debug, Default)]
@@ -113,11 +113,6 @@ impl FrameBuffer {
             self.at = 0;
         }
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet returned as a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.at
     }
 
     /// Pops the next complete payload, `Ok(None)` if more bytes are
@@ -435,6 +430,22 @@ pub enum Response {
     Error { code: ErrorCode, message: String },
 }
 
+/// Payload bytes of a `Page` before its rows: opcode, cursor, `done`,
+/// row count.
+pub(crate) const PAGE_HEADER: usize = 1 + 8 + 1 + 4;
+
+/// Bytes `row` adds to a `Page` payload: its value count, then each
+/// value's tag and body as [`write_value`] lays them out.
+pub(crate) fn page_row_len(row: &WireRow) -> usize {
+    let value_len = |v: &Value| match v {
+        Value::Null => 1,
+        Value::Bool(_) => 2,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+    };
+    4 + row.iter().map(value_len).sum::<usize>()
+}
+
 impl Response {
     /// Serializes into a payload (opcode + body, no framing).
     pub fn encode(&self) -> io::Result<Vec<u8>> {
@@ -636,6 +647,22 @@ mod tests {
         let mut payload = Request::Ping { token: 3 }.encode().unwrap();
         payload.push(0);
         assert!(Request::decode(&payload).is_err());
+    }
+
+    #[test]
+    fn page_size_is_header_plus_row_lengths() {
+        let rows = vec![
+            vec![Value::Null, Value::Bool(true), Value::Int(-3)],
+            vec![Value::Float(0.5), Value::Str("é/tmp/x".into())],
+            vec![],
+        ];
+        let expected = PAGE_HEADER + rows.iter().map(page_row_len).sum::<usize>();
+        let page = Response::Page {
+            cursor: 9,
+            rows,
+            done: false,
+        };
+        assert_eq!(page.encode().unwrap().len(), expected);
     }
 
     #[test]
